@@ -22,6 +22,7 @@ use crate::ir::SemQl;
 use crate::joinpath::JoinGraph;
 use footballdb::DataModel;
 use nlq::GoldExample;
+use sqlengine::ExecBudget;
 use sqlkit::{analyze_sql, classify_sql, Hardness, QueryStats};
 
 /// The five evaluated systems.
@@ -239,8 +240,14 @@ pub fn profile_items_with_db(
             let semql_veto = match (reconstruction, db) {
                 (None, _) => true,
                 (Some(rec), Some(db)) => {
+                    // Gold runs unbudgeted, as execution match runs it:
+                    // a gold query that cannot run is a labeling bug,
+                    // never a budget matter. The reconstruction runs
+                    // under the default budget; a trip vetoes it like
+                    // any other execution failure.
                     let gold_rs = sqlengine::execute_sql(db, sql).ok();
-                    let rec_rs = sqlengine::execute_sql(db, &rec).ok();
+                    let rec_rs =
+                        sqlengine::execute_sql_with_budget(db, &rec, &ExecBudget::default()).ok();
                     match (gold_rs, rec_rs) {
                         (Some(g), Some(r)) => !r.matches(&g),
                         _ => true,

@@ -4,10 +4,11 @@
 //! exercises: providers truncate generations, emit syntactically broken
 //! SQL, hallucinate identifiers from the wrong schema, return nothing,
 //! or throw transient errors that succeed on retry. A [`FaultPlan`]
-//! injects exactly this taxonomy at the [`crate::predict`] boundary,
-//! deterministically: every draw comes from an [`xrng`] stream forked by
-//! `(seed, system, question_id)`, so a fault plan replays bit-identically
-//! at any thread count and on any machine.
+//! injects exactly this taxonomy at the
+//! [`crate::predict_governed_with`] boundary, deterministically: every
+//! draw comes from an [`xrng`] stream forked by `(seed, system,
+//! question_id)`, so a fault plan replays bit-identically at any thread
+//! count and on any machine.
 //!
 //! **Monotonicity by construction.** For a fixed seed, the set of faulted
 //! questions at rate `r₁` is a subset of the set at rate `r₂ > r₁`: the

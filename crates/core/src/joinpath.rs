@@ -10,7 +10,7 @@
 //! edge is ambiguous and the join-path algorithm fails.
 
 use sqlengine::Catalog;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// An edge in the join graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,12 +58,16 @@ impl std::fmt::Display for JoinPathError {
 }
 
 /// The join graph built from a catalog.
+///
+/// Edge maps are ordered, so BFS visits neighbors in name order and
+/// breaks ties between equal-length paths the same way in every graph
+/// instance and every process.
 #[derive(Debug, Clone)]
 pub struct JoinGraph {
     /// Usable single-reference edges, keyed by unordered table pair.
-    edges: HashMap<(String, String), JoinEdge>,
+    edges: BTreeMap<(String, String), JoinEdge>,
     /// Table pairs excluded because of multiple references.
-    ambiguous: HashMap<(String, String), usize>,
+    ambiguous: BTreeMap<(String, String), usize>,
     tables: Vec<String>,
 }
 
@@ -94,8 +98,8 @@ impl JoinGraph {
                     .push(e);
             }
         }
-        let mut edges = HashMap::new();
-        let mut ambiguous = HashMap::new();
+        let mut edges = BTreeMap::new();
+        let mut ambiguous = BTreeMap::new();
         for (k, v) in count {
             if v.len() == 1 {
                 edges.insert(k, v.into_iter().next().unwrap());
@@ -237,13 +241,10 @@ impl JoinGraph {
 
     /// The ambiguous pairs (diagnostics / ablation reporting).
     pub fn ambiguous_pairs(&self) -> Vec<(String, String, usize)> {
-        let mut v: Vec<_> = self
-            .ambiguous
+        self.ambiguous
             .iter()
             .map(|((a, b), n)| (a.clone(), b.clone(), *n))
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 }
 
@@ -359,5 +360,28 @@ mod tests {
         let g = JoinGraph::from_catalog(&DataModel::V1.catalog());
         let pairs = g.ambiguous_pairs();
         assert_eq!(pairs.len(), 2);
+    }
+
+    #[test]
+    fn separately_built_graphs_break_path_ties_identically() {
+        for model in DataModel::ALL {
+            let catalog = model.catalog();
+            let tables: Vec<String> = catalog.tables.iter().map(|t| t.name.clone()).collect();
+            let reference = JoinGraph::from_catalog(&catalog);
+            for _ in 0..32 {
+                let g = JoinGraph::from_catalog(&catalog);
+                for a in &tables {
+                    for b in &tables {
+                        assert_eq!(
+                            g.shortest_path(a, b),
+                            reference.shortest_path(a, b),
+                            "{model}: {a} -> {b}"
+                        );
+                        let pair = [a.clone(), b.clone()];
+                        assert_eq!(g.join_tree(&pair), reference.join_tree(&pair));
+                    }
+                }
+            }
+        }
     }
 }

@@ -64,4 +64,7 @@ pub use ir::{IrError, SemQl};
 pub use joinpath::{JoinGraph, JoinPathError};
 pub use retrieval::RetrievalIndex;
 pub use stage::PipelineStage;
-pub use systems::{predict, predict_governed, GovernedPrediction, Prediction, SystemContext};
+pub use systems::{
+    predict_governed, predict_governed_with, ExecContext, GovernedPrediction, Prediction,
+    SystemContext,
+};

@@ -24,14 +24,17 @@ use crate::decode::{constrain, DecodeOutcome};
 use crate::fault::{corrupt_sql, FaultKind, FaultPlan, RetryPolicy, SimClock};
 use crate::ir::SemQl;
 use crate::joinpath::JoinGraph;
-use crate::linking::{find_values, schema_links};
 use crate::prompt::build_prompt;
 use crate::retrieval::RetrievalIndex;
 use crate::schema_encode::{approx_tokens, encode_schema, EncodeOptions};
 use footballdb::DataModel;
 use nlq::GoldExample;
-use sqlengine::{Catalog, Database, Value};
+use sqlengine::{
+    execute_sql_with_budget, Catalog, Database, EngineError, ExecBudget, QueryCache, ResultSet,
+    Value,
+};
 use sqlkit::ast::{BinOp, Expr, Lit, Query, Select, SelectItem};
+use std::sync::Arc;
 use xrng::Rng;
 
 /// Shared evaluation context for one (data model, training budget).
@@ -47,6 +50,48 @@ pub struct SystemContext<'a> {
 impl SystemContext<'_> {
     pub fn catalog(&self) -> &Catalog {
         self.db.catalog()
+    }
+}
+
+/// How a prediction executes the SQL it verifies: a failed draw checks
+/// that its corruption really answers differently from gold (see
+/// [`predict_governed_with`]).
+///
+/// Gold runs unbudgeted, exactly as execution match runs it. Each
+/// candidate runs under `budget`, the fuel budget execution match will
+/// apply to the emitted SQL; a candidate that trips it counts as wrong,
+/// like an unexecutable one. With a `cache`, gold executes once per
+/// (model, item), repeated candidates execute once, and the emitted
+/// candidate is already memoized when execution match scores it.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecContext<'a> {
+    /// The data model's query cache; `None` executes every query afresh.
+    pub cache: Option<&'a QueryCache>,
+    /// Fuel budget for candidate executions.
+    pub budget: ExecBudget,
+}
+
+impl ExecContext<'_> {
+    /// No cache and the default budget.
+    fn uncached() -> ExecContext<'static> {
+        ExecContext {
+            cache: None,
+            budget: ExecBudget::default(),
+        }
+    }
+
+    fn gold(&self, db: &Database, sql: &str) -> Result<Arc<ResultSet>, EngineError> {
+        match self.cache {
+            Some(cache) => cache.execute_cached(db, sql),
+            None => execute_sql_with_budget(db, sql, &ExecBudget::UNLIMITED).map(Arc::new),
+        }
+    }
+
+    fn candidate(&self, db: &Database, sql: &str) -> Result<Arc<ResultSet>, EngineError> {
+        match self.cache {
+            Some(cache) => cache.execute_budgeted(db, sql, &self.budget),
+            None => execute_sql_with_budget(db, sql, &self.budget).map(Arc::new),
+        }
     }
 }
 
@@ -70,42 +115,53 @@ pub struct Prediction {
     /// Size of the constructed prompt in tokens (LLM systems; 0 for
     /// fine-tuned systems, whose encoder input is accounted separately).
     pub prompt_tokens: usize,
+    /// Executions a failed draw requested to verify its corruption: the
+    /// gold query plus every candidate checked. Counts requests, not
+    /// engine runs, so it does not depend on what the cache holds.
+    pub verify_executions: usize,
+    /// Verified candidates that tripped the [`ExecContext`] budget
+    /// (each counted as wrong).
+    pub verify_budget_trips: usize,
 }
 
-/// Runs one system on one question.
+/// The decoder's output for one draw and the work it took.
+#[derive(Debug, Default)]
+struct Produced {
+    sql: Option<String>,
+    prefix_checks: usize,
+    verify_executions: usize,
+    verify_budget_trips: usize,
+}
+
+/// Runs one system on one question, without fault injection.
 ///
 /// `p_success` is the calibrated success probability from
 /// [`crate::capability::success_probabilities`]; the draw is taken from
 /// `rng`, which the harness forks per (system, item) for determinism.
-pub fn predict(
+fn predict(
     kind: SystemKind,
     item: &GoldExample,
     ctx: &SystemContext<'_>,
+    exec: &ExecContext<'_>,
     p_success: f64,
     rng: &mut Rng,
 ) -> Prediction {
-    // Pre-processing work every system performs (and whose size feeds
-    // the latency model): schema encoding, plus linking for ValueNet.
-    let enc_opts = match kind {
-        SystemKind::ValueNet => EncodeOptions::FULL,
-        SystemKind::T5Picard => EncodeOptions::SCHEMA_ONLY,
-        _ => EncodeOptions::WITH_KEYS,
-    };
-    let schema_text = encode_schema(ctx.catalog(), Some(ctx.db), enc_opts);
-    let schema_tokens = approx_tokens(&schema_text);
-    if kind.uses_content() {
-        // ValueNet's value finder and schema linking run on every query.
-        let _links = schema_links(&item.question, ctx.db);
-        let _values = find_values(&item.question, ctx.db);
-    }
-
     // Few-shot retrieval under the context budget. The budget is scaled
     // by the prompt format's verbosity: LLaMA2's chat template and
     // instruction blocks inflate every token of payload, which is why
     // the paper could fit at most 8 shots into its 4,096-token window.
+    // The schema encoding feeds only this prompt: latency is simulated
+    // from output tokens, not from input size.
     let mut shots_used = 0;
     let mut prompt_tokens = 0;
     if let (Budget::FewShot(want), Some(index)) = (ctx.budget, ctx.index) {
+        let enc_opts = match kind {
+            SystemKind::ValueNet => EncodeOptions::FULL,
+            SystemKind::T5Picard => EncodeOptions::SCHEMA_ONLY,
+            _ => EncodeOptions::WITH_KEYS,
+        };
+        let schema_text = encode_schema(ctx.catalog(), Some(ctx.db), enc_opts);
+        let schema_tokens = approx_tokens(&schema_text);
         let (budget, verbosity) = match kind {
             SystemKind::Llama2 => (LLAMA_TOKEN_BUDGET, 2.5),
             _ => (GPT_TOKEN_BUDGET, 1.0),
@@ -123,26 +179,34 @@ pub fn predict(
     let success = rng.chance(p_success);
     let gold = item.sql(ctx.model);
 
-    let (sql, prefix_checks) = if success {
-        produce_success(kind, gold, ctx)
+    let produced = if success {
+        let (sql, prefix_checks) = produce_success(kind, gold, ctx);
+        Produced {
+            sql,
+            prefix_checks,
+            ..Produced::default()
+        }
     } else {
-        produce_failure(kind, gold, ctx, rng)
+        produce_failure(kind, gold, ctx, exec, rng)
     };
 
     // When no SQL is emitted the decoder still ran to the failure point;
     // charge roughly a full decode.
-    let out_tokens = sql
+    let out_tokens = produced
+        .sql
         .as_deref()
         .map(sqlkit::token_count)
         .unwrap_or_else(|| sqlkit::token_count(gold));
     let latency = cost::latency(kind, out_tokens, rng);
 
     Prediction {
-        sql,
+        sql: produced.sql,
         latency,
         shots_used,
-        prefix_checks,
+        prefix_checks: produced.prefix_checks,
         prompt_tokens,
+        verify_executions: produced.verify_executions,
+        verify_budget_trips: produced.verify_budget_trips,
     }
 }
 
@@ -162,20 +226,49 @@ pub struct GovernedPrediction {
     pub gave_up: bool,
 }
 
-/// [`predict`] wrapped in fault injection and retry governance.
-///
-/// With `plan = None` this is exactly `predict`. With a plan, the
-/// question's seeded fault draw decides what happens at the provider
-/// boundary: non-transient faults corrupt the emitted SQL ([`corrupt_sql`]);
-/// a transient fault enters a retry loop whose exponential, seeded-jitter
-/// backoff accrues on a simulated clock into the prediction's latency —
-/// recovery leaves the SQL untouched, exhaustion drops it. A panic draw
-/// (independent stream, see [`FaultPlan::draws_panic`]) panics *before*
-/// any work, exercising the harness's per-query isolation.
+/// [`predict_governed_with`] with no query cache and the default budget.
 pub fn predict_governed(
     kind: SystemKind,
     item: &GoldExample,
     ctx: &SystemContext<'_>,
+    p_success: f64,
+    rng: &mut Rng,
+    plan: Option<&FaultPlan>,
+    retry: &RetryPolicy,
+) -> GovernedPrediction {
+    predict_governed_with(
+        kind,
+        item,
+        ctx,
+        &ExecContext::uncached(),
+        p_success,
+        rng,
+        plan,
+        retry,
+    )
+}
+
+/// Runs one system on one question, wrapped in fault injection and
+/// retry governance. Verification executions go through `exec`.
+///
+/// `p_success` is the calibrated success probability from
+/// [`crate::capability::success_probabilities`]; the draw is taken from
+/// `rng`, which the harness forks per (system, item) for determinism.
+///
+/// With `plan = None` no fault is injected. With a plan, the question's
+/// seeded fault draw decides what happens at the provider boundary:
+/// non-transient faults corrupt the emitted SQL ([`corrupt_sql`]); a
+/// transient fault enters a retry loop whose exponential, seeded-jitter
+/// backoff accrues on a simulated clock into the prediction's latency —
+/// recovery leaves the SQL untouched, exhaustion drops it. A panic draw
+/// (independent stream, see [`FaultPlan::draws_panic`]) panics *before*
+/// any work, exercising the harness's per-query isolation.
+#[allow(clippy::too_many_arguments)]
+pub fn predict_governed_with(
+    kind: SystemKind,
+    item: &GoldExample,
+    ctx: &SystemContext<'_>,
+    exec: &ExecContext<'_>,
     p_success: f64,
     rng: &mut Rng,
     plan: Option<&FaultPlan>,
@@ -186,7 +279,7 @@ pub fn predict_governed(
             panic!("injected worker fault: {kind} question {}", item.id);
         }
     }
-    let mut prediction = predict(kind, item, ctx, p_success, rng);
+    let mut prediction = predict(kind, item, ctx, exec, p_success, rng);
     let fault = plan.and_then(|p| p.draw(kind, item.id));
     let Some(kind_drawn) = fault else {
         return GovernedPrediction {
@@ -279,8 +372,9 @@ fn produce_failure(
     kind: SystemKind,
     gold: &str,
     ctx: &SystemContext<'_>,
+    exec: &ExecContext<'_>,
     rng: &mut Rng,
-) -> (Option<String>, usize) {
+) -> Produced {
     // Some failures produce nothing at all.
     let p_none = match kind {
         SystemKind::ValueNet => 0.25,
@@ -288,24 +382,33 @@ fn produce_failure(
         _ => 0.05,
     };
     if rng.chance(p_none) {
-        return (None, 0);
+        return Produced::default();
     }
     let Ok(query) = sqlkit::parse_query(gold) else {
-        return (None, 0);
+        return Produced::default();
     };
     // A failed prediction must actually *be* a failure: corruptions that
     // happen to produce the gold results are retried (the capability
     // model already decided this draw is wrong).
-    let gold_result = sqlengine::execute_sql(ctx.db, gold).ok();
-    let is_really_wrong = |sql: &str| -> bool {
-        match (&gold_result, sqlengine::execute_sql(ctx.db, sql)) {
-            (Some(gold_rs), Ok(rs)) => !rs.matches(gold_rs),
+    let mut out = Produced {
+        verify_executions: 1,
+        ..Produced::default()
+    };
+    let gold_result = exec.gold(ctx.db, gold).ok();
+    let is_really_wrong = |sql: &str, out: &mut Produced| -> bool {
+        out.verify_executions += 1;
+        match exec.candidate(ctx.db, sql) {
+            Ok(rs) => gold_result.as_ref().is_none_or(|g| !rs.matches(g)),
+            // Execution match will abort this candidate the same way.
+            Err(EngineError::BudgetExceeded { .. }) => {
+                out.verify_budget_trips += 1;
+                true
+            }
             // Unexecutable output is wrong by definition.
-            _ => true,
+            Err(_) => true,
         }
     };
 
-    let mut checks = 0;
     for _attempt in 0..8 {
         let mut q = query.clone();
         let mutated = apply_mutation(&mut q, ctx, rng);
@@ -313,35 +416,28 @@ fn produce_failure(
             break;
         }
         let sql = sqlkit::to_sql(&q);
-        match kind {
+        let emit = match kind {
             SystemKind::T5Picard | SystemKind::T5PicardKeys => {
                 // Picard rejects schema-invalid corruptions; the decoder
                 // backtracks and tries another beam.
                 let outcome = constrain(&sql, ctx.catalog());
-                checks += outcome.prefix_checks();
-                if outcome.accepted() && is_really_wrong(&sql) {
-                    return (Some(sql), checks);
-                }
+                out.prefix_checks += outcome.prefix_checks();
+                (outcome.accepted() && is_really_wrong(&sql, &mut out)).then_some(sql)
             }
-            SystemKind::ValueNet => {
-                // The IR layer keeps output schema-valid by construction;
-                // emit only when an IR form exists.
-                if let Ok(ir) = SemQl::from_query(&q) {
-                    if let Ok(out) = ir.to_sql(ctx.graph) {
-                        if is_really_wrong(&out) {
-                            return (Some(out), checks);
-                        }
-                    }
-                }
-            }
-            _ => {
-                if is_really_wrong(&sql) {
-                    return (Some(sql), checks);
-                }
-            }
+            // The IR layer keeps output schema-valid by construction;
+            // emit only when an IR form exists.
+            SystemKind::ValueNet => SemQl::from_query(&q)
+                .ok()
+                .and_then(|ir| ir.to_sql(ctx.graph).ok())
+                .filter(|sql| is_really_wrong(sql, &mut out)),
+            _ => is_really_wrong(&sql, &mut out).then_some(sql),
+        };
+        if emit.is_some() {
+            out.sql = emit;
+            break;
         }
     }
-    (None, checks)
+    out
 }
 
 /// Applies one random corruption in place. Returns false when the query
@@ -649,6 +745,19 @@ mod tests {
         Fixture { db, graph, bench }
     }
 
+    /// One ungoverned prediction: no fault plan, no cache, default budget.
+    fn predict_plain(
+        kind: SystemKind,
+        item: &GoldExample,
+        ctx: &SystemContext<'_>,
+        p_success: f64,
+        rng: &mut Rng,
+    ) -> Prediction {
+        let retry = RetryPolicy::default();
+        let exec = ExecContext::uncached();
+        predict_governed_with(kind, item, ctx, &exec, p_success, rng, None, &retry).prediction
+    }
+
     fn ctx<'a>(f: &'a Fixture, model: DataModel, budget: Budget) -> SystemContext<'a> {
         SystemContext {
             model,
@@ -666,7 +775,7 @@ mod tests {
         let c = ctx(&f, model, Budget::FewShot(0));
         let mut rng = Rng::new(1);
         let item = &f.bench.test[0];
-        let p = predict(SystemKind::Gpt35, item, &c, 1.0, &mut rng);
+        let p = predict_plain(SystemKind::Gpt35, item, &c, 1.0, &mut rng);
         assert_eq!(p.sql.as_deref(), Some(item.sql(model)));
     }
 
@@ -679,7 +788,7 @@ mod tests {
         let mut total = 0;
         for (i, item) in f.bench.test.iter().enumerate() {
             let mut rng = Rng::new(100 + i as u64);
-            let p = predict(SystemKind::Gpt35, item, &c, 0.0, &mut rng);
+            let p = predict_plain(SystemKind::Gpt35, item, &c, 0.0, &mut rng);
             total += 1;
             let gold_rs = execute_sql(&f.db, item.sql(model)).unwrap();
             let matches = match p.sql.as_deref() {
@@ -714,7 +823,7 @@ mod tests {
             .expect("some v3 item is SemQL-compatible");
         let item = &f.bench.test[i];
         let mut rng = Rng::new(3);
-        let p = predict(SystemKind::ValueNet, item, &c, 1.0, &mut rng);
+        let p = predict_plain(SystemKind::ValueNet, item, &c, 1.0, &mut rng);
         let sql = p.sql.expect("ValueNet emits SQL on success");
         // The reconstruction is alias-normalized, not byte-identical.
         let gold_rs = execute_sql(&f.db, item.sql(model)).unwrap();
@@ -734,7 +843,7 @@ mod tests {
         let c = ctx(&f, model, Budget::FineTuned(300));
         for (i, item) in f.bench.test.iter().enumerate() {
             let mut rng = Rng::new(i as u64);
-            let p = predict(SystemKind::T5PicardKeys, item, &c, 0.3, &mut rng);
+            let p = predict_plain(SystemKind::T5PicardKeys, item, &c, 0.3, &mut rng);
             if let Some(sql) = &p.sql {
                 assert!(
                     constrain(sql, c.catalog()).accepted(),
@@ -758,8 +867,8 @@ mod tests {
         };
         let mut rng = Rng::new(5);
         let item = &f.bench.test[0];
-        let llama = predict(SystemKind::Llama2, item, &c, 0.5, &mut rng);
-        let gpt = predict(SystemKind::Gpt35, item, &c, 0.5, &mut rng);
+        let llama = predict_plain(SystemKind::Llama2, item, &c, 0.5, &mut rng);
+        let gpt = predict_plain(SystemKind::Gpt35, item, &c, 0.5, &mut rng);
         assert!(
             llama.shots_used < gpt.shots_used,
             "LLaMA {} vs GPT {}",
@@ -783,7 +892,7 @@ mod tests {
         };
         let mut rng = Rng::new(7);
         for item in f.bench.test.iter().take(5) {
-            let p = predict(SystemKind::Llama2, item, &c, 0.5, &mut rng);
+            let p = predict_plain(SystemKind::Llama2, item, &c, 0.5, &mut rng);
             assert!(
                 p.prompt_tokens <= LLAMA_TOKEN_BUDGET,
                 "prompt of {} tokens exceeds the 4096 window",
@@ -804,7 +913,7 @@ mod tests {
             let mut xs = Vec::new();
             for s in 0..30u64 {
                 let mut rng = Rng::new(s);
-                xs.push(predict(kind, item, &c, 0.9, &mut rng).latency);
+                xs.push(predict_plain(kind, item, &c, 0.9, &mut rng).latency);
             }
             lat.insert(kind, xs.iter().sum::<f64>() / xs.len() as f64);
         }
@@ -833,7 +942,7 @@ mod tests {
         for run in 0..runs {
             for (i, item) in f.bench.test.iter().enumerate() {
                 let mut rng = Rng::new((run * 1000 + i) as u64);
-                let p = predict(SystemKind::T5PicardKeys, item, &c, probs[i], &mut rng);
+                let p = predict_plain(SystemKind::T5PicardKeys, item, &c, probs[i], &mut rng);
                 let gold_rs = execute_sql(&f.db, item.sql(model)).unwrap();
                 if let Some(sql) = p.sql.as_deref() {
                     if let Ok(rs) = execute_sql(&f.db, sql) {
@@ -849,5 +958,94 @@ mod tests {
             (0.28..0.58).contains(&acc),
             "accuracy {acc} far from the 0.41 target"
         );
+    }
+
+    #[test]
+    fn runaway_candidate_under_tiny_budget_counts_as_wrong_and_ends_the_loop() {
+        let model = DataModel::V1;
+        let f = fixture(model);
+        let c = ctx(&f, model, Budget::FewShot(0));
+        // Every corruption point of this query (dropping or flipping the
+        // join predicate) leaves a world_cup x national_team cross join
+        // that the tiny budget cannot afford. Gold runs unbudgeted.
+        let sql =
+            "SELECT COUNT(*) FROM world_cup AS w, national_team AS t WHERE w.winner = t.team_id";
+        let item = GoldExample {
+            id: 0,
+            question: "How many World Cups have a winner?".into(),
+            sql: [sql.into(), sql.into(), sql.into()],
+            topic: "winners",
+        };
+        let tiny = ExecBudget::UNLIMITED.with_max_steps(100);
+        let cache = QueryCache::new();
+        let exec = ExecContext {
+            cache: Some(&cache),
+            budget: tiny,
+        };
+        let retry = RetryPolicy::default();
+        let mut emitted = 0;
+        for seed in 0..20 {
+            let mut rng = Rng::new(seed);
+            let g = predict_governed_with(
+                SystemKind::Gpt35,
+                &item,
+                &c,
+                &exec,
+                0.0,
+                &mut rng,
+                None,
+                &retry,
+            );
+            let p = g.prediction;
+            let Some(out) = p.sql else {
+                // A no-SQL draw, or no mutation point drawn: no candidate
+                // was checked.
+                assert!(p.verify_executions <= 1);
+                assert_eq!(p.verify_budget_trips, 0);
+                continue;
+            };
+            emitted += 1;
+            // Gold plus the first candidate: its trip rejected it as a
+            // correct answer, so the loop ended there.
+            assert_eq!((p.verify_executions, p.verify_budget_trips), (2, 1));
+            assert!(matches!(
+                execute_sql_with_budget(&f.db, &out, &tiny),
+                Err(EngineError::BudgetExceeded { .. })
+            ));
+        }
+        assert!(emitted > 0);
+        // Only gold was stored: an aborted candidate never fills the cache.
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn cached_verification_predicts_what_uncached_verification_predicts() {
+        let model = DataModel::V2;
+        let f = fixture(model);
+        let c = ctx(&f, model, Budget::FineTuned(300));
+        let cache = QueryCache::new();
+        let cached = ExecContext {
+            cache: Some(&cache),
+            budget: ExecBudget::default(),
+        };
+        let retry = RetryPolicy::default();
+        for kind in SystemKind::ALL {
+            // Two passes, so the second is served from a warm cache.
+            for _ in 0..2 {
+                for (i, item) in f.bench.test.iter().enumerate() {
+                    let mut rng = Rng::new(i as u64);
+                    let want = predict_plain(kind, item, &c, 0.0, &mut rng);
+                    let mut rng = Rng::new(i as u64);
+                    let got =
+                        predict_governed_with(kind, item, &c, &cached, 0.0, &mut rng, None, &retry)
+                            .prediction;
+                    assert_eq!(got.sql, want.sql, "{kind} item {i}");
+                    assert_eq!(got.latency, want.latency);
+                    assert_eq!(got.verify_executions, want.verify_executions);
+                    assert_eq!(got.verify_budget_trips, want.verify_budget_trips);
+                }
+            }
+        }
+        assert!(cache.stats().hits > 0);
     }
 }

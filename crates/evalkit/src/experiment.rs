@@ -17,11 +17,14 @@ use crate::parallel::{par_map, par_map_catch};
 use footballdb::{generate, load, DataModel, Domain};
 use nlq::gold::{build_benchmark, PipelineConfig};
 use nlq::{Benchmark, GoldExample};
-use sqlengine::{current_dialect, CacheStats, Database, Dialect, ExecBudget, QueryCache};
+use sqlengine::{
+    current_dialect, CacheStats, Database, Dialect, ExecBudget, QueryCache, TraceGuard,
+};
 use sqlkit::{Hardness, QueryStats};
 use textosql::{
-    predict_governed, profile_items_with_db, success_probabilities, Budget, FaultKind, FaultPlan,
-    ItemProfile, JoinGraph, RetrievalIndex, RetryPolicy, SystemContext, SystemKind,
+    predict_governed_with, profile_items_with_db, success_probabilities, Budget, ExecContext,
+    FaultKind, FaultPlan, ItemProfile, JoinGraph, RetrievalIndex, RetryPolicy, SystemContext,
+    SystemKind,
 };
 use xrng::Rng;
 
@@ -327,31 +330,66 @@ fn run_one_item(
     i: usize,
 ) -> ItemResult {
     let (model, budget) = (ctx.model, ctx.budget);
-    let profiles = setup.profiles(model);
-    let cache = setup.query_cache(model);
-    let item = &setup.benchmark.test[i];
     let mut rng = state
         .root
         .fork(&format!("{system}/{model}/{}/{i}", budget.size()));
     let p = if state.successes[i] { 1.0 } else { 0.0 };
-    let g = predict_governed(
+    score_item(
+        ctx,
+        setup.query_cache(model),
+        system,
+        governor,
+        &setup.benchmark.test[i],
+        &setup.profiles(model)[i],
+        p,
+        &mut rng,
+    )
+}
+
+/// Predicts and scores one item against `ctx`'s database. Prediction
+/// verifies a failed draw through `cache` under the governor's budget,
+/// so gold executes once per (model, item) and the emitted candidate is
+/// already memoized when execution match scores it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn score_item(
+    ctx: &SystemContext,
+    cache: &QueryCache,
+    system: SystemKind,
+    governor: &Governor,
+    item: &GoldExample,
+    profile: &ItemProfile,
+    p_success: f64,
+    rng: &mut Rng,
+) -> ItemResult {
+    let exec = ExecContext {
+        cache: Some(cache),
+        budget: governor.budget,
+    };
+    // Prediction runs under its own collector so that every cache fill
+    // it makes stores its span tree; a fill made untraced would replay
+    // nothing on the match step's hit. The prediction's spans are then
+    // dropped: the item's trace covers the match step only.
+    let predict_trace = TraceGuard::install();
+    let g = predict_governed_with(
         system,
         item,
         ctx,
-        p,
-        &mut rng,
+        &exec,
+        p_success,
+        rng,
         governor.fault_plan.as_ref(),
         &governor.retry,
     );
+    drop(predict_trace);
     // A trace collector scoped to this item: spans from the gold and
     // predicted executions land here and nowhere else, regardless of
     // which pool thread runs the closure.
-    let trace_guard = sqlengine::TraceGuard::install();
+    let trace_guard = TraceGuard::install();
     let (outcome, mut failure) = execution_match_governed(
         ctx.db,
         cache,
         &governor.budget,
-        item.sql(model),
+        item.sql(ctx.model),
         g.prediction.sql.as_deref(),
     );
     let trace = ItemTrace::from_span(&trace_guard.finish());
@@ -364,11 +402,11 @@ fn run_one_item(
         item_id: item.id,
         outcome,
         failure,
-        predicted_sql: g.prediction.sql.clone(),
+        predicted_sql: g.prediction.sql,
         latency: g.prediction.latency,
         shots_used: g.prediction.shots_used,
-        hardness: profiles[i].hardness,
-        stats: profiles[i].stats,
+        hardness: profile.hardness,
+        stats: profile.stats,
         trace,
         fault: g.fault,
         retries: g.retries,
@@ -377,17 +415,16 @@ fn run_one_item(
 }
 
 /// The degraded record for an item whose worker panicked.
-fn panicked_item(setup: &EvalSetup, model: DataModel, i: usize) -> ItemResult {
-    let profiles = setup.profiles(model);
+pub(crate) fn panicked_item(item_id: usize, profile: &ItemProfile) -> ItemResult {
     ItemResult {
-        item_id: setup.benchmark.test[i].id,
+        item_id,
         outcome: ExOutcome::ExecError,
         failure: Some(FailureKind::Panic),
         predicted_sql: None,
         latency: 0.0,
         shots_used: 0,
-        hardness: profiles[i].hardness,
-        stats: profiles[i].stats,
+        hardness: profile.hardness,
+        stats: profile.stats,
         trace: ItemTrace::default(),
         fault: None,
         retries: 0,
@@ -455,7 +492,9 @@ pub fn run_prepared(setup: &EvalSetup, cells: &[PreparedConfig]) -> Vec<RunResul
                     slots
                         .next()
                         .expect("one slot per pair")
-                        .unwrap_or_else(|_| panicked_item(setup, cfg.model, i))
+                        .unwrap_or_else(|_| {
+                            panicked_item(setup.benchmark.test[i].id, &setup.profiles(cfg.model)[i])
+                        })
                 })
                 .collect(),
         })

@@ -24,14 +24,13 @@ use nlq::GoldExample;
 use sqlengine::{Database, QueryCache};
 use sqlkit::Hardness;
 use textosql::{
-    predict_governed, profile_items_with_db, success_probabilities, Budget, JoinGraph,
-    RetrievalIndex, SystemContext, SystemKind,
+    profile_items_with_db, success_probabilities, Budget, JoinGraph, RetrievalIndex, SystemContext,
+    SystemKind,
 };
 use xrng::Rng;
 
-use crate::experiment::{weighted_success_set, Governor, ItemResult};
-use crate::metric::{accuracy, execution_match_governed, ExOutcome, FailureKind};
-use crate::metrics::ItemTrace;
+use crate::experiment::{panicked_item, score_item, weighted_success_set, Governor, ItemResult};
+use crate::metric::{accuracy, ExOutcome, FailureKind};
 use crate::parallel::par_map_catch;
 
 /// Identity of one synthesized model inside the sweep.
@@ -138,61 +137,21 @@ pub fn run_morph_model(
                 };
                 let mut rng = cell_root.fork(&format!("item/{i}"));
                 let p = if successes[i] { 1.0 } else { 0.0 };
-                let g = predict_governed(
-                    system,
-                    item,
+                score_item(
                     &ctx,
+                    cache,
+                    system,
+                    governor,
+                    item,
+                    &profiles[i],
                     p,
                     &mut rng,
-                    governor.fault_plan.as_ref(),
-                    &governor.retry,
-                );
-                let trace_guard = sqlengine::TraceGuard::install();
-                let (outcome, mut failure) = execution_match_governed(
-                    db,
-                    cache,
-                    &governor.budget,
-                    item.sql(DataModel::V1),
-                    g.prediction.sql.as_deref(),
-                );
-                let trace = ItemTrace::from_span(&trace_guard.finish());
-                if g.gave_up {
-                    failure = Some(FailureKind::ProviderError);
-                }
-                ItemResult {
-                    item_id: item.id,
-                    outcome,
-                    failure,
-                    predicted_sql: g.prediction.sql.clone(),
-                    latency: g.prediction.latency,
-                    shots_used: g.prediction.shots_used,
-                    hardness: profiles[i].hardness,
-                    stats: profiles[i].stats,
-                    trace,
-                    fault: g.fault,
-                    retries: g.retries,
-                    gave_up: g.gave_up,
-                }
+                )
             });
             let results: Vec<ItemResult> = caught
                 .into_iter()
                 .enumerate()
-                .map(|(i, r)| {
-                    r.unwrap_or_else(|_| ItemResult {
-                        item_id: items[i].id,
-                        outcome: ExOutcome::ExecError,
-                        failure: Some(FailureKind::Panic),
-                        predicted_sql: None,
-                        latency: 0.0,
-                        shots_used: 0,
-                        hardness: profiles[i].hardness,
-                        stats: profiles[i].stats,
-                        trace: ItemTrace::default(),
-                        fault: None,
-                        retries: 0,
-                        gave_up: false,
-                    })
-                })
+                .map(|(i, r)| r.unwrap_or_else(|_| panicked_item(items[i].id, &profiles[i])))
                 .collect();
             MorphRun {
                 system,

@@ -206,6 +206,9 @@ impl QueryCache {
         self.execute_inner(db, sql, |db, sql| execute_sql_with_budget(db, sql, budget))
     }
 
+    /// The shared lookup-or-fill path. A hit replays spans only when its
+    /// fill was traced: a fill made with no [`trace::TraceGuard`]
+    /// installed stores no span tree, so a later traced hit records none.
     fn execute_inner(
         &self,
         db: &Database,

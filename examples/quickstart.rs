@@ -8,8 +8,8 @@ use footballdb::{generate, load, DataModel};
 use nlq::gold::{build_benchmark, PipelineConfig};
 use sqlengine::execute_sql;
 use textosql::{
-    predict, profile_items, success_probabilities, Budget, JoinGraph, RetrievalIndex,
-    SystemContext, SystemKind,
+    predict_governed, profile_items, success_probabilities, Budget, JoinGraph, RetrievalIndex,
+    RetryPolicy, SystemContext, SystemKind,
 };
 use xrng::Rng;
 
@@ -55,7 +55,17 @@ fn main() {
 
     let item = &bench.test[0];
     let mut rng = Rng::new(42);
-    let pred = predict(SystemKind::Gpt35, item, &ctx, probs[0], &mut rng);
+    // No fault plan: the provider answers every question.
+    let pred = predict_governed(
+        SystemKind::Gpt35,
+        item,
+        &ctx,
+        probs[0],
+        &mut rng,
+        None,
+        &RetryPolicy::default(),
+    )
+    .prediction;
 
     println!("\nQ: {}", item.question);
     match &pred.sql {
