@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Sweeps the governed evaluation pipeline over a fault-rate × budget ×
-//! thread-count grid and asserts three invariants on every cell:
+//! thread-count grid and asserts four invariants on every cell:
 //!
 //! 1. **No escaped panic** — injected worker panics are isolated per
 //!    item (`par_map_catch`); the sweep itself runs every cell under
@@ -20,6 +20,11 @@
 //! 3. **Thread invariance** — the per-item `(id, outcome, failure)`
 //!    sequence at 8 workers is bit-identical to the 1-worker serial
 //!    reference under the same fault seed.
+//! 4. **Cache transparency** — the same sequence with every query
+//!    cache disabled equals the serial reference. The sweep shares one
+//!    `EvalSetup`, so its caches carry entries filled under the default
+//!    budget into the tight-budget cells: a hit that ignored the
+//!    caller's budget would show here.
 //!
 //! Results land in `BENCH_chaos.json`; exit status is 1 when any
 //! invariant is violated, 2 on usage errors.
@@ -119,6 +124,7 @@ fn main() {
     let mut escaped_panics = 0usize;
     let mut monotonic = true;
     let mut identical_to_serial = true;
+    let mut identical_to_uncached = true;
     let mut total_failures: Vec<(String, usize)> = Vec::new();
     let mut accuracies: Vec<String> = Vec::new();
 
@@ -134,16 +140,19 @@ fn main() {
                         budget: *budget,
                         ..Governor::default()
                     };
-                    let mut per_thread: Vec<RunResult> = Vec::new();
-                    for threads in [1usize, 8] {
+                    // The label seeds the baseline success draw and
+                    // per-item RNGs; it must NOT contain the rate, or the
+                    // rate-0 and rate-r runs would score different
+                    // baseline predictions and the monotone-degradation
+                    // comparison would be meaningless. Only the
+                    // FaultPlan knows the rate.
+                    let label = format!("chaos/{s}/{budget_label}");
+                    let mut runs: Vec<RunResult> = Vec::new();
+                    // Serial and pooled with caches on (the sweep's
+                    // cells), then serial with caches off.
+                    for (threads, cached) in [(1usize, true), (8, true), (1, false)] {
                         set_thread_override(Some(threads));
-                        // The label seeds the baseline success draw and
-                        // per-item RNGs; it must NOT contain the rate,
-                        // or the rate-0 and rate-r runs would score
-                        // different baseline predictions and the
-                        // monotone-degradation comparison would be
-                        // meaningless. Only the FaultPlan knows the rate.
-                        let label = format!("chaos/{s}/{budget_label}");
+                        setup.set_query_caches_enabled(cached);
                         let run = catch_unwind(AssertUnwindSafe(|| {
                             run_config_governed(
                                 &setup,
@@ -155,25 +164,31 @@ fn main() {
                                 &gov,
                             )
                         }));
+                        setup.set_query_caches_enabled(true);
                         set_thread_override(None);
-                        cells += 1;
+                        cells += usize::from(cached);
                         match run {
-                            Ok(r) => per_thread.push(r),
+                            Ok(r) => runs.push(r),
                             Err(_) => {
                                 escaped_panics += 1;
                                 eprintln!(
                                     "ESCAPED PANIC: seed {s} {budget_label} {system} \
-                                     rate {rate} threads {threads}"
+                                     rate {rate} threads {threads} caches {cached}"
                                 );
                             }
                         }
                     }
-                    if per_thread.len() == 2 {
-                        let (serial, pooled) = (&per_thread[0], &per_thread[1]);
+                    if let [serial, pooled, uncached] = runs.as_slice() {
                         if fingerprint(&serial.items) != fingerprint(&pooled.items) {
                             identical_to_serial = false;
                             eprintln!(
                                 "THREAD DIVERGENCE: seed {s} {budget_label} {system} rate {rate}"
+                            );
+                        }
+                        if fingerprint(&serial.items) != fingerprint(&uncached.items) {
+                            identical_to_uncached = false;
+                            eprintln!(
+                                "CACHE DIVERGENCE: seed {s} {budget_label} {system} rate {rate}"
                             );
                         }
                         ex_by_rate.push((rate, serial.accuracy()));
@@ -217,6 +232,7 @@ fn main() {
         "{{\n  \"cells\": {cells},\n  \"seeds\": {seeds},\n  \
          \"rates\": [{}],\n  \"escaped_panics\": {escaped_panics},\n  \
          \"monotonic\": {monotonic},\n  \"identical_to_serial\": {identical_to_serial},\n  \
+         \"identical_to_uncached\": {identical_to_uncached},\n  \
          \"failure_counts\": {{{failure_json}}},\n  \"runs\": [\n    {}\n  ],\n  \
          \"scale\": \"{}\"\n}}\n",
         rates
@@ -230,10 +246,11 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!(
         "chaos: {cells} cells, {escaped_panics} escaped panics, \
-         monotonic={monotonic}, identical_to_serial={identical_to_serial}"
+         monotonic={monotonic}, identical_to_serial={identical_to_serial}, \
+         identical_to_uncached={identical_to_uncached}"
     );
     print!("{json}");
-    if escaped_panics > 0 || !monotonic || !identical_to_serial {
+    if escaped_panics > 0 || !monotonic || !identical_to_serial || !identical_to_uncached {
         eprintln!("chaos: invariant violated");
         std::process::exit(1);
     }

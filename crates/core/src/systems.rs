@@ -61,8 +61,10 @@ impl SystemContext<'_> {
 /// candidate runs under `budget`, the fuel budget execution match will
 /// apply to the emitted SQL; a candidate that trips it counts as wrong,
 /// like an unexecutable one. With a `cache`, gold executes once per
-/// (model, item), repeated candidates execute once, and the emitted
-/// candidate is already memoized when execution match scores it.
+/// (model, item), a repeated candidate is answered from its memoized
+/// outcome (an oversize one by its shape, through
+/// [`QueryCache::matches_budgeted`]), and the emitted candidate is
+/// already memoized when execution match scores it.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecContext<'a> {
     /// The data model's query cache; `None` executes every query afresh.
@@ -87,10 +89,19 @@ impl ExecContext<'_> {
         }
     }
 
-    fn candidate(&self, db: &Database, sql: &str) -> Result<Arc<ResultSet>, EngineError> {
-        match self.cache {
-            Some(cache) => cache.execute_budgeted(db, sql, &self.budget),
-            None => execute_sql_with_budget(db, sql, &self.budget).map(Arc::new),
+    /// Whether the candidate's result matches gold's, running it under
+    /// `budget`. A gold query that failed matches nothing.
+    fn candidate_matches(
+        &self,
+        db: &Database,
+        sql: &str,
+        gold: Option<&ResultSet>,
+    ) -> Result<bool, EngineError> {
+        match (self.cache, gold) {
+            (Some(cache), Some(gold)) => cache.matches_budgeted(db, sql, &self.budget, gold),
+            (Some(cache), None) => cache.execute_budgeted(db, sql, &self.budget).map(|_| false),
+            (None, gold) => execute_sql_with_budget(db, sql, &self.budget)
+                .map(|rs| gold.is_some_and(|g| rs.matches(g))),
         }
     }
 }
@@ -397,8 +408,8 @@ fn produce_failure(
     let gold_result = exec.gold(ctx.db, gold).ok();
     let is_really_wrong = |sql: &str, out: &mut Produced| -> bool {
         out.verify_executions += 1;
-        match exec.candidate(ctx.db, sql) {
-            Ok(rs) => gold_result.as_ref().is_none_or(|g| !rs.matches(g)),
+        match exec.candidate_matches(ctx.db, sql, gold_result.as_deref()) {
+            Ok(matches) => !matches,
             // Execution match will abort this candidate the same way.
             Err(EngineError::BudgetExceeded { .. }) => {
                 out.verify_budget_trips += 1;

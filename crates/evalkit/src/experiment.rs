@@ -128,22 +128,7 @@ impl EvalSetup {
 
     /// Aggregated hit/miss counters over all three model caches.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            oversize: 0,
-            builds: 0,
-        };
-        for (_, cache) in &self.caches {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.oversize += s.oversize;
-            total.builds += s.builds;
-        }
-        total
+        self.caches.iter().map(|(_, cache)| cache.stats()).sum()
     }
 
     /// Aggregated index build/probe counters over all three model

@@ -13,8 +13,7 @@
 //! join orders or cache states) without ever becoming intransitive; the
 //! conformance harness holds this layer to the same key.
 
-use sqlengine::{execute_sql, Database, EngineError, ExecBudget, QueryCache, ResultSet};
-use std::sync::Arc;
+use sqlengine::{execute_sql, Database, EngineError, ExecBudget, QueryCache};
 
 /// Outcome of evaluating one prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,31 +113,6 @@ pub fn classify_engine_error(e: &EngineError) -> FailureKind {
     }
 }
 
-/// A per-query execution outcome under graceful degradation: either the
-/// materialized results or a classified failure — never a crash.
-#[derive(Debug, Clone)]
-pub enum QueryOutcome {
-    Ok(Arc<ResultSet>),
-    Classified(FailureKind),
-}
-
-/// Executes one prediction through the cache under a fuel budget and
-/// classifies whatever happens.
-pub fn execute_classified(
-    db: &Database,
-    cache: &QueryCache,
-    budget: &ExecBudget,
-    sql: Option<&str>,
-) -> QueryOutcome {
-    match sql {
-        None => QueryOutcome::Classified(FailureKind::NoSql),
-        Some(sql) => match cache.execute_budgeted(db, sql, budget) {
-            Ok(rs) => QueryOutcome::Ok(rs),
-            Err(e) => QueryOutcome::Classified(classify_engine_error(&e)),
-        },
-    }
-}
-
 /// Evaluates a prediction against gold SQL by execution matching.
 ///
 /// A gold query that itself fails to execute is a labeling bug; we
@@ -161,42 +135,19 @@ pub fn execution_match(db: &Database, gold_sql: &str, predicted: Option<&str>) -
     }
 }
 
-/// [`execution_match`] with result memoization.
+/// [`execution_match`] through the data model's query cache, with
+/// graceful degradation: the prediction runs under `budget` and every
+/// non-correct outcome carries a [`FailureKind`]. The gold query stays
+/// *unbudgeted* — a gold failure is a labeling bug and still panics
+/// loudly; only predicted SQL is treated as untrusted input that may run
+/// away.
 ///
-/// Both the gold and the predicted query are executed through `cache`,
-/// so a gold query shared by every configuration of one data model — or
-/// a predicted query repeated across configurations — runs once.
-/// `execute_sql` is a pure function of `(db, sql)`, making the cached
-/// outcome identical to the uncached one.
-pub fn execution_match_cached(
-    db: &Database,
-    cache: &QueryCache,
-    gold_sql: &str,
-    predicted: Option<&str>,
-) -> ExOutcome {
-    let gold = cache
-        .execute_cached(db, gold_sql)
-        .unwrap_or_else(|e| panic!("gold SQL failed to execute: {e}\n{gold_sql}"));
-    match predicted {
-        None => ExOutcome::NoSql,
-        Some(sql) => match cache.execute_cached(db, sql) {
-            Ok(rs) => {
-                if rs.matches(&gold) {
-                    ExOutcome::Correct
-                } else {
-                    ExOutcome::WrongResult
-                }
-            }
-            Err(_) => ExOutcome::ExecError,
-        },
-    }
-}
-
-/// [`execution_match_cached`] with graceful degradation: the prediction
-/// runs under `budget` and every non-correct outcome carries a
-/// [`FailureKind`]. The gold query stays *unbudgeted* — a gold failure
-/// is a labeling bug and still panics loudly; only predicted SQL is
-/// treated as untrusted input that may run away.
+/// Both queries go through `cache`, so a gold query shared by every
+/// configuration of one data model, or a prediction repeated across
+/// configurations, runs once. The comparison uses
+/// [`QueryCache::matches_budgeted`], which settles an oversize
+/// prediction by its shape alone; the outcome is identical to uncached
+/// execution.
 pub fn execution_match_governed(
     db: &Database,
     cache: &QueryCache,
@@ -207,15 +158,16 @@ pub fn execution_match_governed(
     let gold = cache
         .execute_cached(db, gold_sql)
         .unwrap_or_else(|e| panic!("gold SQL failed to execute: {e}\n{gold_sql}"));
-    match execute_classified(db, cache, budget, predicted) {
-        QueryOutcome::Ok(rs) => {
-            if rs.matches(&gold) {
-                (ExOutcome::Correct, None)
-            } else {
-                (ExOutcome::WrongResult, Some(FailureKind::WrongResult))
-            }
+    let Some(sql) = predicted else {
+        return (ExOutcome::NoSql, Some(FailureKind::NoSql));
+    };
+    match cache.matches_budgeted(db, sql, budget, &gold) {
+        Ok(true) => (ExOutcome::Correct, None),
+        Ok(false) => (ExOutcome::WrongResult, Some(FailureKind::WrongResult)),
+        Err(e) => {
+            let kind = classify_engine_error(&e);
+            (kind.as_outcome(), Some(kind))
         }
-        QueryOutcome::Classified(kind) => (kind.as_outcome(), Some(kind)),
     }
 }
 

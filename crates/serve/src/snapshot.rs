@@ -116,27 +116,12 @@ impl ServeState {
 
     /// Aggregated cache counters over all three model caches.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            oversize: 0,
-            builds: 0,
-        };
-        let caches = self
-            .models
+        self.models
             .iter()
             .map(|(_, _, c)| c)
-            .chain(self.morphed.iter().map(|(_, _, _, c)| c));
-        for cache in caches {
-            let s = cache.stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.oversize += s.oversize;
-            total.builds += s.builds;
-        }
-        total
+            .chain(self.morphed.iter().map(|(_, _, _, c)| c))
+            .map(QueryCache::stats)
+            .sum()
     }
 
     /// Σ per-shard |builds − entries| over all caches: 0 whenever the

@@ -28,11 +28,13 @@
 //!
 //! The budget is carried in thread-local state installed by
 //! [`crate::execute_sql_with_budget`]; plain [`crate::execute_sql`]
-//! stays unbudgeted. Because a budget can only abort an execution —
-//! never change a successful result — `Ok` outcomes are identical under
-//! any budget, which is why [`crate::cache::QueryCache`] may share
-//! successful entries between budgeted and unbudgeted callers without
-//! folding the budget into the planner fingerprint.
+//! stays unbudgeted. A budget can only abort an execution, never change
+//! its outcome, and every counter only grows, so a run trips a budget
+//! exactly when its final [`FuelSpent`] exceeds one of the limits. That
+//! is how [`crate::cache::QueryCache`] shares entries between callers
+//! with different budgets without folding the budget into its key: it
+//! stores each fill's final spend and serves a hit only to a budget
+//! that covers it.
 
 use crate::error::EngineError;
 use std::cell::RefCell;
@@ -97,6 +99,25 @@ impl ExecBudget {
     }
 }
 
+/// The fuel one execution consumed, per counter: its final totals if it
+/// finished, or the totals at the point it failed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FuelSpent {
+    pub(crate) steps: u64,
+    pub(crate) cells: u64,
+    pub(crate) rows: u64,
+}
+
+impl FuelSpent {
+    /// True when a run that spent this much never trips `budget`: the
+    /// counters are monotone and a charge trips only on `spent > max`.
+    pub(crate) fn fits(&self, budget: &ExecBudget) -> bool {
+        self.steps <= budget.max_steps
+            && self.cells <= budget.max_cells
+            && self.rows <= budget.max_rows
+    }
+}
+
 /// Live fuel counters for the execution currently installed on this
 /// thread.
 #[derive(Debug, Clone, Copy)]
@@ -128,6 +149,17 @@ impl FuelGuard {
         };
         let prev = FUEL.with(|cell| cell.borrow_mut().replace(fresh));
         FuelGuard { prev }
+    }
+
+    /// The fuel charged since this guard was installed.
+    pub(crate) fn spent(&self) -> FuelSpent {
+        FUEL.with(|cell| {
+            cell.borrow().map_or(FuelSpent::default(), |st| FuelSpent {
+                steps: st.steps,
+                cells: st.cells,
+                rows: st.rows,
+            })
+        })
     }
 }
 

@@ -18,7 +18,7 @@
 //! executor in [`crate::vexec`] (which shares this module's plan,
 //! charging discipline, and output stage).
 
-use crate::budget::{charge, charge_rows, ExecBudget};
+use crate::budget::{charge, charge_rows, ExecBudget, FuelGuard, FuelSpent};
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::result::ResultSet;
@@ -58,7 +58,7 @@ pub fn execute_with_budget(
     query: &Query,
     budget: &ExecBudget,
 ) -> Result<ResultSet, EngineError> {
-    let _guard = crate::budget::FuelGuard::install(*budget);
+    let _guard = FuelGuard::install(*budget);
     execute(db, query)
 }
 
@@ -69,11 +69,29 @@ pub fn execute_sql_with_budget(
     sql: &str,
     budget: &ExecBudget,
 ) -> Result<ResultSet, EngineError> {
+    execute_sql_metered(db, sql, budget).0
+}
+
+/// [`execute_sql_with_budget`] that also reports the fuel the run
+/// charged: its final totals, or the totals when it failed (zero for a
+/// parse error).
+pub(crate) fn execute_sql_metered(
+    db: &Database,
+    sql: &str,
+    budget: &ExecBudget,
+) -> (Result<ResultSet, EngineError>, FuelSpent) {
     let query = {
         let _span = trace::span("parse");
-        sqlkit::parse_query(sql).map_err(EngineError::Parse)?
+        sqlkit::parse_query(sql).map_err(EngineError::Parse)
     };
-    execute_with_budget(db, &query, budget)
+    match query {
+        Ok(query) => {
+            let guard = FuelGuard::install(*budget);
+            let out = execute(db, &query);
+            (out, guard.spent())
+        }
+        Err(e) => (Err(e), FuelSpent::default()),
+    }
 }
 
 // ---- execution-mode switches and stage accounting -----------------------

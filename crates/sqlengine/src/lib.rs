@@ -7,8 +7,9 @@
 //!
 //! * [`budget`] — fuel-based execution budgets so pathological queries
 //!   abort with `BudgetExceeded` instead of hanging or exhausting memory;
-//! * [`cache`] — concurrency-safe query-result memoization keyed by
-//!   query text, used to execute each gold query once per data model;
+//! * [`cache`] — concurrency-safe memoization of execution outcomes
+//!   (small results, oversize shapes, deterministic errors) keyed by
+//!   query text, with hits bounded by the caller's fuel budget;
 //! * [`catalog`] — schema metadata with PK/FK constraints;
 //! * [`db`] — row storage with type checking, referential-integrity
 //!   auditing, and lazy per-`(table, column)` hash indexes;

@@ -121,18 +121,30 @@ impl<'a> VRel<'a> {
         }
     }
 
-    /// The one materialization point: clones every surviving value into
-    /// a row-engine [`Relation`]. Deliberately uncharged and span-free,
-    /// exactly like the row engine's own scan/join materialization.
-    fn materialize(&self) -> Relation {
+    /// The one materialization point: clones the surviving values of the
+    /// columns flagged in `read` into a row-engine [`Relation`], and
+    /// fills every other cell with NULL. The layout (`cols`, row count,
+    /// row width) is unchanged, so column resolution, fuel and trace
+    /// counters are the same as for a full copy. Deliberately uncharged
+    /// and span-free, exactly like the row engine's own scan/join
+    /// materialization.
+    fn materialize(&self, read: &[bool]) -> Relation {
         let mut rows: Vec<Vec<Value>> = (0..self.len)
             .map(|_| Vec::with_capacity(self.cols.len()))
             .collect();
         for slot in &self.slots {
+            let read = &read[slot.start..slot.start + slot.width];
+            let all = read.iter().all(|&r| r);
             for (r, row) in rows.iter_mut().enumerate() {
                 match slot.gather[r] {
                     NONE_ROW => row.extend((0..slot.width).map(|_| Value::Null)),
-                    g => row.extend_from_slice(&slot.base[g as usize][..slot.width]),
+                    g if all => row.extend_from_slice(&slot.base[g as usize][..slot.width]),
+                    g => row.extend(
+                        slot.base[g as usize][..slot.width]
+                            .iter()
+                            .zip(read)
+                            .map(|(v, &keep)| if keep { v.clone() } else { Value::Null }),
+                    ),
                 }
             }
         }
@@ -141,6 +153,40 @@ impl<'a> VRel<'a> {
             rows,
         }
     }
+}
+
+/// Flags the columns of `cols` that the shared output stage can read:
+/// every column whose name appears in the expanded projection, GROUP
+/// BY, HAVING or ORDER BY, whatever its qualifier. A subquery in any of
+/// those may read anything, so then every column is flagged.
+fn output_reads(
+    cols: &[(String, String)],
+    s: &Select,
+    order_by: &[OrderItem],
+    items: &[(String, Expr)],
+) -> Vec<bool> {
+    let exprs = || {
+        items
+            .iter()
+            .map(|(_, e)| e)
+            .chain(&s.group_by)
+            .chain(&s.having)
+            .chain(order_by.iter().map(|o| &o.expr))
+    };
+    if exprs().any(contains_subquery) {
+        return vec![true; cols.len()];
+    }
+    let mut names: Vec<&str> = Vec::new();
+    for e in exprs() {
+        e.visit(&mut |e| {
+            if let Expr::Column(c) = e {
+                names.push(&c.column);
+            }
+        });
+    }
+    cols.iter()
+        .map(|(_, n)| names.iter().any(|m| m.eq_ignore_ascii_case(n)))
+        .collect()
 }
 
 /// `new[i] = old[picks[i]]`, with [`NONE_ROW`] picks (and entries)
@@ -467,8 +513,9 @@ pub(crate) fn exec_select_vec(
 
     // 3./4. Output. The plain unordered projection runs natively over
     // the gather vectors; everything else (aggregation, sorts, top-k,
-    // subquery projections) materializes the surviving rows once and
-    // reuses the row engine's output stage verbatim.
+    // subquery projections) materializes the columns it reads from the
+    // surviving rows once and reuses the row engine's output stage
+    // verbatim.
     let items = expand_projections(&rel.cols, &s.projections)?;
     let uses_aggregates = !s.group_by.is_empty()
         || items.iter().any(|(_, e)| e.contains_aggregate())
@@ -477,7 +524,7 @@ pub(crate) fn exec_select_vec(
     let native =
         !uses_aggregates && order_by.is_empty() && items.iter().all(|(_, e)| !contains_subquery(e));
     if !native {
-        let rel = rel.materialize();
+        let rel = rel.materialize(&output_reads(&rel.cols, s, order_by, &items));
         return output_stage(db, s, order_by, limit, None, &rel);
     }
 
@@ -1002,4 +1049,100 @@ fn restore_column_order(rel: &mut VRel<'_>, from_width: usize, blocks: &[(usize,
     }
     rel.slots = new_slots;
     rel.col_slot = col_slot;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conformance::{corpus_db, reference::ref_execute_sql};
+    use crate::exec::execute_sql;
+
+    /// The flags [`output_reads`] sets for `sql`'s single SELECT over its
+    /// FROM/JOIN layout, rendered as the flagged columns in layout order.
+    fn reads(db: &Database, sql: &str) -> Vec<String> {
+        let q = sqlkit::parse_query(sql).unwrap();
+        let QueryBody::Select(s) = &q.body else {
+            panic!("not a plain SELECT: {sql}")
+        };
+        let mut cols: Vec<(String, String)> = Vec::new();
+        for t in s.table_refs() {
+            let TableRef::Named { name, alias } = t else {
+                panic!("not a named table: {sql}")
+            };
+            let binding = alias.clone().unwrap_or_else(|| name.clone());
+            for c in &db.schema(name).unwrap().columns {
+                cols.push((binding.clone(), c.name.clone()));
+            }
+        }
+        let items = expand_projections(&cols, &s.projections).unwrap();
+        let flags = output_reads(&cols, s, &q.order_by, &items);
+        cols.iter()
+            .zip(flags)
+            .filter(|(_, f)| *f)
+            .map(|((b, n), _)| format!("{b}.{n}"))
+            .collect()
+    }
+
+    #[test]
+    fn materialization_keeps_only_the_columns_the_output_stage_reads() {
+        let db = corpus_db(3);
+        let cases: [(&str, &[&str]); 7] = [
+            // GROUP BY, HAVING and ORDER BY on columns nobody projects.
+            (
+                "SELECT count(*) FROM player AS p JOIN appearance AS a ON a.pid = p.pid \
+                 GROUP BY p.squad HAVING max(a.minutes) > 10 ORDER BY p.squad",
+                &["p.squad", "a.minutes"],
+            ),
+            // Full sort and top-k on a non-projected column.
+            (
+                "SELECT pid FROM player ORDER BY score DESC",
+                &["player.pid", "player.score"],
+            ),
+            (
+                "SELECT nick FROM player ORDER BY ratio LIMIT 3",
+                &["player.ratio", "player.nick"],
+            ),
+            // An unqualified name flags every column of that name, so
+            // an ambiguous reference still fails as ambiguous.
+            (
+                "SELECT count(pid) FROM player AS p JOIN appearance AS a ON a.pid = p.pid",
+                &["p.pid", "a.pid"],
+            ),
+            (
+                "SELECT min(nick) FROM player AS p JOIN appearance AS a ON a.pid = p.pid \
+                 WHERE a.card = 'red'",
+                &["p.nick"],
+            ),
+            // An aggregate over SELECT * reads every column.
+            (
+                "SELECT *, count(*) FROM appearance GROUP BY aid, pid, minutes, card",
+                &[
+                    "appearance.aid",
+                    "appearance.pid",
+                    "appearance.minutes",
+                    "appearance.card",
+                ],
+            ),
+            // A subquery may read any column of the outer row.
+            (
+                "SELECT (SELECT max(minutes) FROM appearance AS x WHERE x.pid = p.pid) \
+                 FROM player AS p ORDER BY 1",
+                &["p.pid", "p.squad", "p.score", "p.ratio", "p.nick"],
+            ),
+        ];
+        for (sql, want) in cases {
+            assert_eq!(reads(&db, sql), want, "{sql}");
+            // The pruned relation answers exactly as the reference
+            // interpreter, which materializes nothing lazily.
+            match (execute_sql(&db, sql), ref_execute_sql(&db, sql)) {
+                (Ok(got), Ok(reference)) => {
+                    assert!(got.matches(&reference), "{sql}\n{got}\nvs\n{reference}");
+                    assert_eq!(got.ordered, reference.ordered, "{sql}");
+                }
+                (Err(got), Err(reference)) => assert_eq!(got, reference, "{sql}"),
+                (got, reference) => panic!("{sql}: {got:?} vs {reference:?}"),
+            }
+        }
+        assert!(reads(&db, "SELECT count(*) FROM player").is_empty());
+    }
 }

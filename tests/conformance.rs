@@ -15,7 +15,7 @@ use sqlengine::conformance::{
 };
 use sqlengine::{
     execute_sql, planner_config_fingerprint, set_dialect, set_force_seqscan, set_vectorized,
-    Catalog, DataType, Database, Dialect, QueryCache, TableSchema, Value,
+    trace_execute_sql, Catalog, DataType, Database, Dialect, QueryCache, TableSchema, Value,
 };
 use std::sync::Mutex;
 
@@ -97,6 +97,39 @@ fn check_case_reports_nothing_for_conformant_queries() {
         "SELECT score FROM player INTERSECT ALL SELECT minutes FROM appearance",
     ] {
         assert!(check_case(&db, &cache, sql).is_none(), "diverged: {sql}");
+    }
+}
+
+/// The vectorized executor materializes only the columns the output
+/// stage reads and leaves the rest NULL. Results, errors and the
+/// deterministic counter tree must stay bit-identical to the row engine,
+/// which copies every column.
+#[test]
+fn pruned_materialization_matches_the_row_engine() {
+    let _g = mode_guard();
+    let db = corpus_db(2);
+    let cache = QueryCache::new();
+    for sql in [
+        "SELECT count(*) FROM player AS p JOIN appearance AS a ON a.pid = p.pid \
+         GROUP BY p.squad HAVING max(a.minutes) > 10 ORDER BY p.squad",
+        "SELECT pid FROM player ORDER BY score DESC, nick",
+        "SELECT DISTINCT nick FROM player ORDER BY ratio LIMIT 3",
+        "SELECT *, count(*) FROM appearance GROUP BY aid, pid, minutes, card",
+        "SELECT avg(minutes) FROM player AS p JOIN appearance AS a ON a.pid = p.pid",
+        "SELECT count(pid) FROM player AS p JOIN appearance AS a ON a.pid = p.pid",
+        "SELECT (SELECT max(minutes) FROM appearance AS x WHERE x.pid = p.pid) \
+         FROM player AS p ORDER BY 1",
+    ] {
+        assert!(check_case(&db, &cache, sql).is_none(), "diverged: {sql}");
+        let trees: Vec<String> = [true, false]
+            .into_iter()
+            .map(|vectorized| {
+                set_vectorized(Some(vectorized));
+                trace_execute_sql(&db, sql).1.counter_tree()
+            })
+            .collect();
+        set_vectorized(None);
+        assert_eq!(trees[0], trees[1], "counter trees differ: {sql}");
     }
 }
 
