@@ -35,7 +35,7 @@ use evalkit::{
     run_config_governed, set_thread_override, EvalSetup, Governor, ItemResult, RunResult,
 };
 use footballdb::DataModel;
-use sqlengine::ExecBudget;
+use sqlengine::{EngineConfig, ExecBudget};
 use textosql::{Budget, FaultPlan, SystemKind};
 
 fn usage() -> ! {
@@ -117,7 +117,7 @@ fn main() {
     std::panic::set_hook(Box::new(|_| {}));
 
     eprintln!("chaos: building setup...");
-    let setup = EvalSetup::small(11);
+    let setup = EvalSetup::small(11).with_engine(EngineConfig::from_env());
     let pool: Vec<_> = setup.benchmark.train[..20.min(setup.benchmark.train.len())].to_vec();
 
     let mut cells = 0usize;

@@ -49,9 +49,7 @@ use sqlengine::conformance::{
     gen_hazard_corpus, result_bits_eq, run_corpus, run_dialect_corpus, run_morph_corpus,
     CorpusConfig, DialectDiffClass,
 };
-use sqlengine::{
-    execute_sql, set_dialect, set_force_seqscan, Database, Dialect, ExecBudget, ResultSet,
-};
+use sqlengine::{execute_sql, Database, Dialect, EngineConfig, ExecBudget, ResultSet};
 use std::fmt::Write as _;
 use xrng::Rng;
 
@@ -134,9 +132,11 @@ fn dialect_pass(seed: u64, seeds: usize, queries: usize) -> DialectPass {
         // config + reference identity on its own before the dialects
         // are compared to each other.
         for (i, dialect) in Dialect::ALL.into_iter().enumerate() {
-            set_dialect(Some(dialect));
+            let db = db.clone().with_config(EngineConfig {
+                dialect,
+                ..db.config()
+            });
             let report = run_corpus(&db, &corpus);
-            set_dialect(None);
             for d in &report.divergences {
                 eprintln!("[{dialect} seed {s}] {d}\n");
             }
@@ -268,6 +268,7 @@ fn main() {
     if dialects {
         run_dialect_axis(seed, seeds, queries, smoke, &out_path);
     }
+    let engine = EngineConfig::from_env();
     let mut failures = 0usize;
 
     // Axis 1: semantics oracles on both executors.
@@ -293,7 +294,7 @@ fn main() {
     let mut total_errored = 0usize;
     let mut corpora: Vec<(u64, Database, Vec<String>)> = Vec::new();
     for s in seed..seed + seeds as u64 {
-        let db = corpus_db(s);
+        let db = corpus_db(s).with_config(engine);
         let corpus = gen_corpus(&CorpusConfig { seed: s, queries });
         let report = run_corpus(&db, &corpus);
         total_queries += report.queries;
@@ -311,10 +312,9 @@ fn main() {
     );
 
     // Axis 3: thread-count determinism over the corpus and the gold
-    // corpus. Forced seqscan keeps the comparison independent of which
-    // axis-2 run last warmed the lazy indexes.
+    // corpus, each database under its own config.
     let domain = generate(footballdb::DEFAULT_SEED);
-    let dbs = load_all(&domain);
+    let dbs = load_all(&domain).map(|(m, db)| (m, db.with_config(engine)));
     let mut rng = Rng::new(seed ^ 0x7EAD);
     let examples = build_raw_corpus(&domain, &mut rng, if queries >= 1200 { 300 } else { 120 });
     let mut cases: Vec<Case<'_>> = Vec::new();
@@ -336,10 +336,8 @@ fn main() {
             });
         }
     }
-    set_force_seqscan(Some(false));
     let single = run_parallel(&cases, 1);
     let eight = run_parallel(&cases, 8);
-    set_force_seqscan(None);
     let mut thread_diffs = 0usize;
     for ((c, a), b) in cases.iter().zip(&single).zip(&eight) {
         let identical = match (a, b) {
@@ -436,7 +434,7 @@ fn main() {
     let mut morph_diffs = 0usize;
     let mut morph_execs = 0usize;
     for m in &morph_models {
-        let mdb = load_morphed(&domain, m);
+        let mdb = load_morphed(&domain, m).with_config(engine);
         let mut rewrite = |sql: &str| m.rewrite(sql).ok();
         let report = run_morph_corpus(v1_db, &mdb, &morph_corpus, &mut rewrite);
         for d in &report.divergences {

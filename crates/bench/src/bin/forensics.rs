@@ -22,6 +22,7 @@ use evalkit::{
     run_finetuned_grid, set_thread_override, wrong_result_total, EvalSetup, ForensicsRegistry,
     RunResult,
 };
+use sqlengine::EngineConfig;
 
 fn usage() -> ! {
     eprintln!("usage: forensics [--smoke] [--small] [--seed N] [--out PATH]");
@@ -76,7 +77,8 @@ fn main() {
         EvalSetup::small(seed)
     } else {
         EvalSetup::paper_scale(seed)
-    };
+    }
+    .with_engine(EngineConfig::from_env());
 
     eprintln!("forensics: serial pass (1 thread, cold caches)...");
     let (serial_runs, serial_json, serial_s) = pass(&setup, 1, true);

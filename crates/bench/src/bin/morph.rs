@@ -30,7 +30,7 @@ use footballdb::{generate, load, load_morphed, synthesize_models, DataModel};
 use nlq::gold::{build_benchmark, build_raw_corpus, PipelineConfig};
 use nlq::GoldExample;
 use sqlengine::conformance::{result_bits_eq, run_morph_corpus};
-use sqlengine::{execute_sql, set_force_seqscan, Database, QueryCache, ResultSet};
+use sqlengine::{execute_sql, Database, EngineConfig, QueryCache, ResultSet};
 use std::fmt::Write as _;
 use xrng::Rng;
 
@@ -60,20 +60,19 @@ fn rewrite_examples(examples: &[GoldExample], model: &MorphModel) -> Vec<GoldExa
         .collect()
 }
 
-/// Executes the corpus on one database at a fixed worker count (forced
-/// seqscan so results are independent of lazy index warm-up order).
+/// Executes the corpus on one database at a fixed worker count, under
+/// the database's own config (index access paths by default: the order
+/// in which workers warm the lazy indexes never changes a result).
 fn run_threaded(
     db: &Database,
     corpus: &[String],
     threads: usize,
 ) -> Vec<Result<ResultSet, String>> {
-    set_force_seqscan(Some(false));
     set_thread_override(Some(threads));
     let out = par_map(corpus, |sql| {
         execute_sql(db, sql).map_err(|e| e.to_string())
     });
     set_thread_override(None);
-    set_force_seqscan(None);
     out
 }
 
@@ -114,7 +113,8 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     let domain = generate(footballdb::DEFAULT_SEED);
-    let v1 = load(&domain, DataModel::V1);
+    let engine = EngineConfig::from_env();
+    let v1 = load(&domain, DataModel::V1).with_config(engine);
     let cfg = if smoke {
         PipelineConfig {
             raw_questions: 700,
@@ -161,16 +161,14 @@ fn main() {
     let distances: Vec<usize> = models.iter().map(|m| m.distance).collect();
     eprintln!("morph: chain distances {distances:?}");
 
-    // Axis 1 + 2: conformance and thread determinism, per model. Serial
-    // over models — the conformance harness toggles process-global
-    // executor switches.
+    // Axis 1 + 2: conformance and thread determinism, per model.
     let mut failures = 0usize;
     let mut total_execs = 0usize;
     let mut total_errored = 0usize;
     let mut thread_diffs = 0usize;
     let mut model_json = String::new();
     for (k, m) in models.iter().enumerate() {
-        let db = load_morphed(&domain, m);
+        let db = load_morphed(&domain, m).with_config(engine);
         let mut rewrite = |sql: &str| m.rewrite(sql).ok();
         let report = run_morph_corpus(&v1, &db, &corpus, &mut rewrite);
         for d in &report.divergences {
@@ -253,7 +251,7 @@ fn main() {
             &governor,
         ));
         for m in &models {
-            let db = load_morphed(&domain, m);
+            let db = load_morphed(&domain, m).with_config(engine);
             let cache = QueryCache::new();
             let items = rewrite_examples(&benchmark.test, m);
             let pool = rewrite_examples(&benchmark.train, m);

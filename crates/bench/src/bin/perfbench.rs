@@ -5,11 +5,12 @@
 //! [`EvalSetup`]:
 //!
 //! 1. **baseline** — one thread, query-result memoization disabled, and
-//!    every index access path forced off (`set_force_seqscan`): the
-//!    pre-optimization serial execution model;
+//!    every index access path off (the setup is built under
+//!    [`Access::SeqScan`]): the pre-optimization serial execution model;
 //! 2. **optimized** — a worker pool of exactly `--threads` workers
-//!    (default 8) with cold caches enabled and the index-backed access
-//!    paths active.
+//!    (default 8) with cold caches enabled and the setup switched to
+//!    [`Access::Indexed`]. Dialect and executor come from
+//!    [`EngineConfig::from_env`] in both passes.
 //!
 //! Both runs must produce identical accuracies — the optimizations are
 //! required to be semantically invisible — and the harness checks that
@@ -34,7 +35,7 @@ use evalkit::{
     observed_threads, reset_observed_threads, run_fewshot_grid, run_finetuned_grid, run_latency,
     set_thread_override, EvalSetup, FailureKind, ForensicsRegistry, ItemTrace,
 };
-use sqlengine::set_force_seqscan;
+use sqlengine::{Access, EngineConfig};
 
 fn usage() -> ! {
     eprintln!("usage: perfbench [--small] [--seed N] [--threads N] [--out PATH]");
@@ -122,18 +123,22 @@ fn main() {
         "perfbench: building setup ({}, seed {seed})...",
         if small { "small" } else { "paper scale" }
     );
+    let engine = EngineConfig::from_env();
     let t = Instant::now();
     let setup = if small {
         EvalSetup::small(seed)
     } else {
         EvalSetup::paper_scale(seed)
-    };
+    }
+    .with_engine(EngineConfig {
+        access: Access::SeqScan,
+        ..engine
+    });
     let setup_s = t.elapsed().as_secs_f64();
 
     // Baseline: serial, no memoization, sequential scans only.
     eprintln!("perfbench: baseline pass (1 thread, cache disabled, forced seq scans)...");
     set_thread_override(Some(1));
-    set_force_seqscan(Some(true));
     setup.set_query_caches_enabled(false);
     setup.clear_query_caches();
     let t = Instant::now();
@@ -143,10 +148,13 @@ fn main() {
     // Optimized: worker pool + cold cache + index access paths. The
     // pool width is pinned explicitly — never inherited from the
     // environment — so the record means what it says.
+    let setup = setup.with_engine(EngineConfig {
+        access: Access::Indexed,
+        ..engine
+    });
     setup.set_query_caches_enabled(true);
     setup.clear_query_caches();
     set_thread_override(Some(threads_requested));
-    set_force_seqscan(Some(false));
     reset_observed_threads();
     eprintln!(
         "perfbench: optimized pass ({threads_requested} workers, cache enabled, indexes on)..."
@@ -154,7 +162,6 @@ fn main() {
     let t = Instant::now();
     let (optimized_acc, failure_counts, stages, forensics) = run_workload(&setup);
     let wall_s = t.elapsed().as_secs_f64();
-    set_force_seqscan(None);
     set_thread_override(None);
 
     let threads = threads_requested;
@@ -217,7 +224,7 @@ fn main() {
         forensics.totals().wrong_result,
         forensics.totals().classified,
         forensics.totals().unclassified,
-        sqlengine::current_dialect(),
+        engine.dialect,
         if small { "small" } else { "paper" },
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -26,6 +26,7 @@ use evalkit::{
     STAGES,
 };
 use footballdb::DataModel;
+use sqlengine::EngineConfig;
 use textosql::{Budget, FaultPlan, SystemKind};
 
 fn usage() -> ! {
@@ -91,7 +92,8 @@ fn main() {
         EvalSetup::small(seed)
     } else {
         EvalSetup::paper_scale(seed)
-    };
+    }
+    .with_engine(EngineConfig::from_env());
 
     // Pass 1: serial. Cold caches so the two passes see the same world.
     eprintln!("profile: serial pass (1 thread)...");

@@ -14,6 +14,7 @@
 use evalkit::report;
 use evalkit::{run_fewshot_grid, run_finetuned_grid, run_latency, EvalSetup, RunResult};
 use footballdb::DataModel;
+use sqlengine::EngineConfig;
 use textosql::SystemKind;
 
 fn usage() -> ! {
@@ -125,7 +126,8 @@ fn main() {
         EvalSetup::small(seed)
     } else {
         EvalSetup::paper_scale(seed)
-    };
+    }
+    .with_engine(EngineConfig::from_env());
 
     let mut titer = targets.into_iter();
     while let Some(target) = titer.next() {

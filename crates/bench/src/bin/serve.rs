@@ -82,6 +82,7 @@ fn main() {
             }
         }),
         duration_s: if smoke { 4.0 } else { 30.0 },
+        engine: sqlengine::EngineConfig::from_env(),
         ..ServeConfig::default()
     };
 

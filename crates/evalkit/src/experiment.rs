@@ -17,9 +17,7 @@ use crate::parallel::{par_map, par_map_catch};
 use footballdb::{generate, load, DataModel, Domain};
 use nlq::gold::{build_benchmark, PipelineConfig};
 use nlq::{Benchmark, GoldExample};
-use sqlengine::{
-    current_dialect, CacheStats, Database, Dialect, ExecBudget, QueryCache, TraceGuard,
-};
+use sqlengine::{CacheStats, Database, EngineConfig, ExecBudget, QueryCache, TraceGuard};
 use sqlkit::{Hardness, QueryStats};
 use textosql::{
     predict_governed_with, profile_items_with_db, success_probabilities, Budget, ExecContext,
@@ -35,17 +33,10 @@ pub struct EvalSetup {
     pub graphs: Vec<(DataModel, JoinGraph)>,
     pub benchmark: Benchmark,
     pub seed: u64,
-    /// The SQL dialect active when this setup was built. Profiling
-    /// executes the gold queries, so the difficulty profiles (and every
-    /// accuracy number derived from them) are tied to one backend's
-    /// semantics. Scoring is pinnable to either backend: run the whole
-    /// experiment under `REPRO_DIALECT=sqlite` (or
-    /// [`sqlengine::set_dialect`]) and the setup records it here;
-    /// [`run_prepared`] refuses to score under a different dialect than
-    /// the one the setup was profiled under.
-    pub dialect: Dialect,
     /// Memoized test-set difficulty profiles per data model (profiling
-    /// executes the gold queries, so it is computed once).
+    /// executes the gold queries, so it is computed once per dialect:
+    /// profiles and scores always come from the databases' own
+    /// [`EngineConfig`]).
     profiles: Vec<(DataModel, Vec<ItemProfile>)>,
     /// Query-result memo tables, one per data model database. Gold SQL
     /// is shared by every configuration of a model and repeated
@@ -90,22 +81,40 @@ impl EvalSetup {
             graphs,
             benchmark,
             seed,
-            dialect: current_dialect(),
             profiles: Vec::new(),
             caches: DataModel::ALL
                 .iter()
                 .map(|&m| (m, QueryCache::new()))
                 .collect(),
         };
-        // Profiling executes every gold test query against each model's
-        // database — the expensive part of setup, also independent.
-        setup.profiles = par_map(&DataModel::ALL, |&m| {
+        setup.profile();
+        setup
+    }
+
+    /// This setup with every database under `engine`. Access path and
+    /// executor never change results; a new dialect can, so the
+    /// profiles are recomputed under it.
+    pub fn with_engine(mut self, engine: EngineConfig) -> EvalSetup {
+        let dialect = self.databases[0].1.config().dialect;
+        self.databases = std::mem::take(&mut self.databases)
+            .into_iter()
+            .map(|(m, db)| (m, db.with_config(engine)))
+            .collect();
+        if engine.dialect != dialect {
+            self.profile();
+        }
+        self
+    }
+
+    /// Profiling executes every gold test query against each model's
+    /// database — the expensive part of setup, independent per model.
+    fn profile(&mut self) {
+        self.profiles = par_map(&DataModel::ALL, |&m| {
             (
                 m,
-                profile_items_with_db(&setup.benchmark.test, m, setup.graph(m), Some(setup.db(m))),
+                profile_items_with_db(&self.benchmark.test, m, self.graph(m), Some(self.db(m))),
             )
         });
-        setup
     }
 
     pub fn db(&self, model: DataModel) -> &Database {
@@ -431,17 +440,6 @@ pub(crate) fn panicked_item(item_id: usize, profile: &ItemProfile) -> ItemResult
 /// classified [`FailureKind::Panic`] record — identically at any thread
 /// count — instead of aborting the sweep.
 pub fn run_prepared(setup: &EvalSetup, cells: &[PreparedConfig]) -> Vec<RunResult> {
-    // Scoring under a different dialect than the one the profiles were
-    // computed under would silently mix two backends' semantics in one
-    // accuracy number; fail loudly instead.
-    assert_eq!(
-        current_dialect(),
-        setup.dialect,
-        "EvalSetup was profiled under the {} dialect but the process is scoring under {}; \
-         pin the same dialect (REPRO_DIALECT or sqlengine::set_dialect) for both",
-        setup.dialect,
-        current_dialect(),
-    );
     // Per-cell prepare: the success draws (cheap, serial) and the
     // retrieval indexes (embedding the pools — parallel; the indexes
     // borrow the pools, which is why preparation is a distinct pass).

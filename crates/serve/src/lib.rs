@@ -36,7 +36,7 @@ pub use workload::{BurstSpec, Request, RequestKind, WorkloadSpec};
 
 use footballdb::DataModel;
 use nlq::gold::{build_benchmark, PipelineConfig};
-use sqlengine::CacheStats;
+use sqlengine::{CacheStats, EngineConfig};
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -55,6 +55,8 @@ pub struct ServeConfig {
     pub hazard_fraction: f64,
     pub burst: BurstSpec,
     pub policy: AdmissionPolicy,
+    /// The config every snapshot runs under.
+    pub engine: EngineConfig,
 }
 
 impl Default for ServeConfig {
@@ -68,6 +70,7 @@ impl Default for ServeConfig {
             hazard_fraction: 0.02,
             burst: BurstSpec::default(),
             policy: AdmissionPolicy::default(),
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -84,8 +87,8 @@ pub struct RateOutcome {
 pub struct ServeReport {
     pub seed: u64,
     pub threads: usize,
-    /// The dialect the snapshots were built to serve — part of the
-    /// deterministic record, since result bits depend on it.
+    /// The dialect the snapshots served — part of the deterministic
+    /// record, since result bits depend on it.
     pub dialect: sqlengine::Dialect,
     pub rates: Vec<RateOutcome>,
     pub cache: CacheStats,
@@ -163,7 +166,7 @@ impl ServeReport {
 /// cache warmup), then simulate the queue and replay the admitted
 /// stream on the real pool at each rate.
 pub fn run(cfg: &ServeConfig, pipeline: &PipelineConfig) -> ServeReport {
-    let state = ServeState::build();
+    let state = ServeState::build_with_config(cfg.engine);
     let benchmark = build_benchmark(&state.domain, cfg.seed, pipeline);
 
     let mut streams: Vec<(f64, Vec<Request>)> = cfg

@@ -9,7 +9,7 @@
 
 use evalkit::par_map;
 use footballdb::{generate, load, DataModel, Domain};
-use sqlengine::{current_dialect, CacheStats, Database, Dialect, QueryCache};
+use sqlengine::{CacheStats, Database, Dialect, EngineConfig, QueryCache};
 use std::sync::Arc;
 
 /// The three data-model snapshots plus their per-model query caches,
@@ -18,17 +18,16 @@ use std::sync::Arc;
 /// byte-identical SQL text still resolve to distinct databases and
 /// distinct cache spaces.
 ///
-/// A state also records the [`Dialect`] it was built to serve. The
-/// snapshot data itself is dialect-independent, but results are not
-/// (`7 / 2` is `3` under PostgreSQL semantics and `3.5` under SQLite),
-/// so the dialect is part of the deployment's identity next to the
-/// catalog fingerprints. Cache entries key on the planner-config
-/// fingerprint — which folds in the active dialect — so even if the
-/// process dialect were flipped mid-run, a cache could never serve one
-/// dialect's rows to the other's queries.
+/// Every snapshot runs under the state's one [`EngineConfig`], carried
+/// by its databases. The data itself is dialect-independent, but
+/// results are not (`7 / 2` is `3` under PostgreSQL semantics and `3.5`
+/// under SQLite), so the dialect is part of the deployment's identity
+/// next to the catalog fingerprints. Two states with different dialects
+/// serve side by side in one process, and cache entries key on the
+/// config fingerprint, so a cache never serves one dialect's rows to
+/// the other's queries.
 pub struct ServeState {
     pub domain: Domain,
-    dialect: Dialect,
     models: Vec<(DataModel, Arc<Database>, QueryCache)>,
     /// Morphed snapshots: (catalog fingerprint, name, db, cache).
     morphed: Vec<(u64, String, Arc<Database>, QueryCache)>,
@@ -36,35 +35,31 @@ pub struct ServeState {
 
 impl ServeState {
     /// Loads all three data-model instances (fanned out) with fresh,
-    /// empty caches. Content depends only on the deterministic domain
-    /// generator, so two states are interchangeable. The state serves
-    /// the dialect active at build time (`REPRO_DIALECT` or
-    /// [`sqlengine::set_dialect`]; PostgreSQL by default).
+    /// empty caches, under the default [`EngineConfig`] (PostgreSQL).
+    /// Content depends only on the deterministic domain generator, so
+    /// two states are interchangeable.
     pub fn build() -> ServeState {
-        Self::build_with_dialect(current_dialect())
+        Self::build_with_config(EngineConfig::default())
     }
 
-    /// Like [`ServeState::build`], but pins the dialect this state is
-    /// meant to serve regardless of the process default. The caller is
-    /// responsible for executing requests under the same dialect
-    /// (`set_dialect(Some(state.dialect()))`); this constructor does
-    /// not mutate the process-global switch.
-    pub fn build_with_dialect(dialect: Dialect) -> ServeState {
+    /// Like [`ServeState::build`], but every snapshot runs under
+    /// `config`.
+    pub fn build_with_config(config: EngineConfig) -> ServeState {
         let domain = generate(footballdb::DEFAULT_SEED);
         let models = par_map(&DataModel::ALL, |&m| {
-            (m, Arc::new(load(&domain, m)), QueryCache::new())
+            let db = load(&domain, m).with_config(config);
+            (m, Arc::new(db), QueryCache::new())
         });
         ServeState {
             domain,
-            dialect,
             models,
             morphed: Vec::new(),
         }
     }
 
-    /// The dialect this state was built to serve.
+    /// The dialect this state serves.
     pub fn dialect(&self) -> Dialect {
-        self.dialect
+        self.models[0].1.config().dialect
     }
 
     pub fn db(&self, model: DataModel) -> &Arc<Database> {
@@ -80,15 +75,17 @@ impl ServeState {
     /// also keys the cache internally, so a second registration whose
     /// schema differs can never share entries with this one even when
     /// both accept the same SQL text. Re-registering an identical
-    /// catalog is rejected: the existing snapshot already serves it.
+    /// catalog is rejected: the existing snapshot already serves it. The
+    /// snapshot runs under the state's config.
     pub fn register_morphed(&mut self, name: &str, db: Database) -> u64 {
         let fp = db.catalog_fingerprint();
         assert!(
             self.snapshot_by_fingerprint(fp).is_none(),
             "a snapshot with catalog fingerprint {fp:#x} is already registered"
         );
+        let db = Arc::new(db.with_config(self.models[0].1.config()));
         self.morphed
-            .push((fp, name.to_string(), Arc::new(db), QueryCache::new()));
+            .push((fp, name.to_string(), db, QueryCache::new()));
         fp
     }
 
@@ -161,16 +158,6 @@ mod tests {
     use super::*;
     use sqlengine::migrate_database;
     use sqlkit::MorphOp;
-
-    #[test]
-    fn state_records_the_dialect_it_serves() {
-        // `build()` captures the process dialect (PostgreSQL unless the
-        // environment overrides it); `build_with_dialect` pins one.
-        let state = ServeState::build_with_dialect(Dialect::Sqlite);
-        assert_eq!(state.dialect(), Dialect::Sqlite);
-        // Pinning a dialect never mutates the process-global switch.
-        assert_eq!(current_dialect(), Dialect::Postgres);
-    }
 
     #[test]
     fn morphed_snapshots_are_keyed_by_fingerprint() {

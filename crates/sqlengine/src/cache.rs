@@ -33,20 +33,20 @@
 //!
 //! The cache is safe to share across threads and is semantically
 //! transparent: [`execute_sql`](crate::execute_sql) is a pure function
-//! of `(db, sql)` *under a fixed planner configuration*, so a cached
-//! outcome is bit-identical to a fresh execution. Entries are
-//! additionally keyed by [`planner_config_fingerprint`] mixed with the
-//! database's [`Database::catalog_fingerprint`] — synthesized morph
+//! of `(db, sql)`, so a cached outcome is bit-identical to a fresh
+//! execution. Entries are additionally keyed by the database's
+//! [`EngineConfig::fingerprint`](crate::EngineConfig::fingerprint)
+//! mixed with its [`Database::catalog_fingerprint`]. Synthesized morph
 //! models may accept byte-identical SQL text, so the data model is part
-//! of the key: indexed and forced-seq-scan execution are bit-identical
-//! by construction (see `exec::set_force_seqscan`), but the cache does
-//! not rely on that invariant — an outcome computed under one
-//! configuration is never served under another, so a mid-process toggle
-//! flip (or a future toggle without the bit-identity guarantee) cannot
-//! cause staleness. Each entry keeps the span tree recorded while it was
-//! filled, and a hit replays it, so a memoized run reports the same
-//! deterministic counters as a cold one. Hit/miss counters make the
-//! saved work observable in the benchmark harness.
+//! of the key. The dialect changes results (`7 / 2`), so the config is
+//! too; indexed and seq-scan execution are bit-identical by
+//! construction, but the cache does not rely on that invariant — an
+//! outcome computed under one config is never served to a database
+//! under another, even when one cache serves both. Each entry keeps the
+//! span tree recorded while it was filled, and a hit replays it, so a
+//! memoized run reports the same deterministic counters as a cold one.
+//! Hit/miss counters make the saved work observable in the benchmark
+//! harness.
 //!
 //! **Sharding.** The memo table is lock-striped into [`SHARDS`]
 //! independent `RwLock` shards selected by a deterministic FNV hash of
@@ -63,7 +63,7 @@
 use crate::budget::{ExecBudget, FuelSpent};
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{execute_sql_metered, execute_sql_with_budget, planner_config_fingerprint};
+use crate::exec::{execute_sql_metered, execute_sql_with_budget};
 use crate::result::ResultSet;
 use crate::trace::{self, TraceSpan};
 use std::collections::hash_map::Entry;
@@ -143,19 +143,19 @@ struct CacheEntry {
     trace: Option<Arc<Vec<TraceSpan>>>,
 }
 
-/// One planner-configuration's memo entries, keyed by trimmed SQL text.
+/// One engine config's memo entries, keyed by trimmed SQL text.
 type MemoTable = HashMap<String, CacheEntry>;
 
 /// Number of lock stripes. Wide enough that 8–16 workers rarely collide
 /// on a shard lock, small enough that `stats()` stays a cheap sweep.
 pub const SHARDS: usize = 16;
 
-/// One lock stripe: the memo maps (nested per planner-config
+/// One lock stripe: the memo maps (nested per engine-config
 /// fingerprint) plus this shard's build counter. `builds == map entry
 /// count` is the per-shard no-lost/no-double-build invariant.
 #[derive(Debug, Default)]
 struct CacheShard {
-    /// Memo tables, one per planner-config fingerprint: entries computed
+    /// Memo tables, one per engine-config fingerprint: entries computed
     /// under one configuration are invisible to lookups under another.
     map: RwLock<HashMap<u64, MemoTable>>,
     builds: AtomicU64,
@@ -236,7 +236,7 @@ impl QueryCache {
 
     /// Executes `sql` against `db`, serving repeats from the memo table.
     ///
-    /// The key is the trimmed query text under the current planner-config
+    /// The key is the trimmed query text under the database's engine-config
     /// fingerprint: conservative (two spellings of one query occupy two
     /// slots) but guaranteed never to conflate distinct queries or
     /// distinct configurations. A stored error is returned as is; an
@@ -295,14 +295,13 @@ impl QueryCache {
             trace::cache_event(false);
             return execute_sql_with_budget(db, sql, budget).map(|rs| Some(Arc::new(rs)));
         }
-        // Key memo entries by planner configuration *and* data model: two
+        // Key memo entries by engine config *and* data model: two
         // morphed models can accept byte-identical SQL with different
         // answers, so the catalog fingerprint must split their entries.
-        // The planner fingerprint includes the active dialect, whose
-        // results legitimately differ (`7 / 2`!) — the integration suite
-        // pins that a dialect flip can never serve the other backend's
-        // rows.
-        let fp = planner_config_fingerprint()
+        // The config includes the dialect, whose results legitimately
+        // differ (`7 / 2`!) — the integration suite pins that one cache
+        // never serves one backend's rows to the other.
+        let fp = db.config().fingerprint()
             ^ db.catalog_fingerprint().wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let key = sql.trim();
         let shard = &self.shards[shard_of(key)];
@@ -388,10 +387,6 @@ impl QueryCache {
     /// table itself is left intact; use [`QueryCache::clear`] to drop it.
     pub fn set_enabled(&self, enabled: bool) {
         self.disabled.store(!enabled, Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled.load(Ordering::Relaxed)
     }
 
     /// Drops all entries and zeroes the counters (global and per-shard).

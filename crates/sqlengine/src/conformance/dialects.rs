@@ -42,9 +42,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use super::reference::ref_execute_sql;
 use super::{outcome_bits_eq, render, value_bits_eq};
 use crate::catalog::{Catalog, DataType, TableSchema};
+use crate::config::{Access, EngineConfig};
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{execute_sql, set_dialect, set_force_seqscan};
+use crate::exec::execute_sql;
 use crate::result::ResultSet;
 use crate::value::Value;
 use sqlkit::ast::{BinOp, Expr, Query, SelectItem};
@@ -158,14 +159,18 @@ impl DialectReport {
     }
 }
 
-/// Executes `sql` under `dialect` with panics contained. Returns `None`
-/// if the executor panicked. The dialect override is always restored to
-/// "follow the environment".
-fn run_under(db: &Database, sql: &str, dialect: Dialect) -> Option<Result<ResultSet, EngineError>> {
-    set_dialect(Some(dialect));
-    let out = catch_unwind(AssertUnwindSafe(|| execute_sql(db, sql))).ok();
-    set_dialect(None);
-    out
+/// `db`'s data under `dialect`, keeping its access path and executor.
+fn in_dialect(db: &Database, dialect: Dialect) -> Database {
+    db.clone().with_config(EngineConfig {
+        dialect,
+        ..db.config()
+    })
+}
+
+/// Executes `sql` with panics contained. Returns `None` if the executor
+/// panicked.
+fn run_contained(db: &Database, sql: &str) -> Option<Result<ResultSet, EngineError>> {
+    catch_unwind(AssertUnwindSafe(|| execute_sql(db, sql))).ok()
 }
 
 // ---- classifier -----------------------------------------------------------
@@ -392,11 +397,9 @@ enum CaseOutcome {
     Bug(DialectDivergence),
 }
 
-fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
-    let (Some(pg), Some(lite)) = (
-        run_under(db, sql, Dialect::Postgres),
-        run_under(db, sql, Dialect::Sqlite),
-    ) else {
+/// `pg` and `lite` hold the same data under the two dialects.
+fn check_dialect_case(pg_db: &Database, lite_db: &Database, sql: &str) -> CaseOutcome {
+    let (Some(pg), Some(lite)) = (run_contained(pg_db, sql), run_contained(lite_db, sql)) else {
         return CaseOutcome::Panicked;
     };
     if outcome_bits_eq(&pg, &lite) {
@@ -418,8 +421,8 @@ fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
     // Unexplained: minimize while preserving "diverges unclassifiably".
     let minimized = super::minimize_sql(sql, &mut |candidate| {
         match (
-            run_under(db, candidate, Dialect::Postgres),
-            run_under(db, candidate, Dialect::Sqlite),
+            run_contained(pg_db, candidate),
+            run_contained(lite_db, candidate),
         ) {
             (Some(p), Some(l)) => {
                 !outcome_bits_eq(&p, &l)
@@ -431,8 +434,8 @@ fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
         }
     });
     let (min_pg, min_lite) = match (
-        run_under(db, &minimized, Dialect::Postgres),
-        run_under(db, &minimized, Dialect::Sqlite),
+        run_contained(pg_db, &minimized),
+        run_contained(lite_db, &minimized),
     ) {
         (Some(p), Some(l)) => (render(&p), render(&l)),
         _ => (render(&pg), render(&lite)),
@@ -451,11 +454,13 @@ fn check_dialect_case(db: &Database, sql: &str) -> CaseOutcome {
 /// separate, prior check — run [`super::run_corpus`] under each dialect
 /// first, as the `conformance` bench driver does.
 pub fn run_dialect_corpus(db: &Database, corpus: &[String]) -> DialectReport {
+    let pg_db = in_dialect(db, Dialect::Postgres);
+    let lite_db = in_dialect(db, Dialect::Sqlite);
     let mut report = DialectReport::default();
     for sql in corpus {
         report.queries += 1;
         report.executions += 2;
-        match check_dialect_case(db, sql) {
+        match check_dialect_case(&pg_db, &lite_db, sql) {
             CaseOutcome::Agreeing => report.agreeing += 1,
             CaseOutcome::Panicked => report.panics += 1,
             CaseOutcome::Legitimate(class) => {
@@ -714,28 +719,31 @@ fn outcome_matches(outcome: &Result<ResultSet, EngineError>, want: &Want) -> boo
 /// validates the classifier's verdict. Returns one failure per
 /// mismatch, reusing the oracle failure shape.
 pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
-    let db = dialect_db();
+    // Per dialect: the fixture indexed, and under forced seq scans.
+    let dbs = Dialect::ALL.map(|dialect| {
+        let db = in_dialect(&dialect_db(), dialect);
+        let seq = db.clone().with_config(EngineConfig {
+            access: Access::SeqScan,
+            ..db.config()
+        });
+        (dialect, db, seq)
+    });
     let mut failures = Vec::new();
     for sc in scenarios() {
         let mut engine_outcomes: Vec<Result<ResultSet, EngineError>> = Vec::new();
-        for dialect in Dialect::ALL {
+        for (dialect, db, seq) in &dbs {
             let want = match dialect {
                 Dialect::Postgres => &sc.postgres,
                 Dialect::Sqlite => &sc.sqlite,
             };
-            set_dialect(Some(dialect));
             type Exec = fn(&Database, &str) -> Result<ResultSet, EngineError>;
-            let executors: [(&'static str, Exec, Option<bool>); 3] = [
-                ("engine", execute_sql, Some(false)),
-                ("engine+seqscan", execute_sql, Some(true)),
-                ("reference", ref_execute_sql, None),
+            let executors: [(&'static str, Exec, &Database); 3] = [
+                ("engine", execute_sql, db),
+                ("engine+seqscan", execute_sql, seq),
+                ("reference", ref_execute_sql, db),
             ];
-            for (name, run, force) in executors {
-                if let Some(force) = force {
-                    set_force_seqscan(Some(force));
-                }
-                let outcome = run(&db, sc.sql);
-                set_force_seqscan(None);
+            for (name, run, db) in executors {
+                let outcome = run(db, sc.sql);
                 if !outcome_matches(&outcome, want) {
                     failures.push(super::oracle::OracleFailure {
                         check: sc.check,
@@ -748,7 +756,6 @@ pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
                     engine_outcomes.push(outcome);
                 }
             }
-            set_dialect(None);
         }
         // The scenario must actually diverge, and the classifier must
         // attribute it to the declared class.
@@ -780,8 +787,8 @@ pub fn check_dialect_oracles() -> Vec<super::oracle::OracleFailure> {
 mod tests {
     use super::*;
 
-    // Dialect-toggling tests live in `tests/conformance.rs` under the
-    // process-global MODE_LOCK; here only the pure pieces are covered.
+    // Tests that execute under both dialects live in
+    // `tests/conformance.rs`; here only the pure pieces are covered.
 
     #[test]
     fn classes_have_stable_distinct_names() {

@@ -48,13 +48,15 @@ pub use reference::{ref_execute, ref_execute_sql};
 
 use crate::budget::ExecBudget;
 use crate::cache::QueryCache;
+use crate::config::{Access, EngineConfig, Executor};
 use crate::db::Database;
 use crate::error::EngineError;
-use crate::exec::{execute_sql, execute_sql_with_budget, set_force_seqscan, set_vectorized};
+use crate::exec::{execute_sql, execute_sql_with_budget};
 use crate::result::ResultSet;
 use crate::value::Value;
 use sqlkit::ast::{Expr, Query, QueryBody};
 use sqlkit::printer::to_sql;
+use sqlkit::Dialect;
 
 /// One confirmed disagreement, already minimized.
 #[derive(Debug, Clone)]
@@ -104,39 +106,51 @@ impl ConformanceReport {
     }
 }
 
-/// The engine-side configurations that must be observationally
-/// identical for any query: {indexed, forced seqscan} × {vectorized,
-/// forced row-at-a-time} on fresh runs, plus the cached variants of the
-/// vectorized pair. `vec = true` only *allows* the columnar executor —
-/// plan-ineligible queries still run row-at-a-time, which is itself
-/// part of the equivalence claim.
-const CONFIGS: [(&str, bool, bool, bool); 6] = [
-    ("indexed", false, false, true),
-    ("seqscan", true, false, true),
-    ("indexed+rowexec", false, false, false),
-    ("seqscan+rowexec", true, false, false),
-    ("indexed+cache", false, true, true),
-    ("seqscan+cache", true, true, true),
-];
+const fn mode(access: Access, executor: Executor) -> EngineConfig {
+    EngineConfig {
+        dialect: Dialect::Postgres,
+        access,
+        executor,
+    }
+}
 
-fn run_config(
-    db: &Database,
-    cache: &QueryCache,
-    sql: &str,
-    force: bool,
-    cached: bool,
-    vec: bool,
-) -> Result<ResultSet, EngineError> {
-    set_force_seqscan(Some(force));
-    set_vectorized(Some(vec));
-    let out = if cached {
-        cache.execute_cached(db, sql).map(|rs| (*rs).clone())
-    } else {
-        execute_sql(db, sql)
-    };
-    set_force_seqscan(None);
-    set_vectorized(None);
-    out
+/// The engine configurations that must be observationally identical for
+/// any query: {indexed, seqscan} × {vectorized, row} on fresh runs (the
+/// first four), plus the cached variants of the vectorized pair (the
+/// bool). `Vectorized` only *allows* the columnar executor —
+/// plan-ineligible queries still run row-at-a-time, which is itself
+/// part of the equivalence claim. The harness runs each config under the
+/// checked database's own dialect.
+pub const CONFIGS: [(&str, EngineConfig, bool); 6] = {
+    use Access::{Indexed, SeqScan};
+    use Executor::{Row, Vectorized};
+    [
+        ("indexed", mode(Indexed, Vectorized), false),
+        ("seqscan", mode(SeqScan, Vectorized), false),
+        ("indexed+rowexec", mode(Indexed, Row), false),
+        ("seqscan+rowexec", mode(SeqScan, Row), false),
+        ("indexed+cache", mode(Indexed, Vectorized), true),
+        ("seqscan+cache", mode(SeqScan, Vectorized), true),
+    ]
+};
+
+/// `db`'s data under one of the [`CONFIGS`], keeping `db`'s dialect.
+fn under(db: &Database, cfg: EngineConfig) -> Database {
+    db.clone().with_config(EngineConfig {
+        dialect: db.config().dialect,
+        ..cfg
+    })
+}
+
+/// `db` under every one of the [`CONFIGS`] (name, database, cached),
+/// built once per corpus and shared by every query checked against it.
+type ConfigDbs = Vec<(&'static str, Database, bool)>;
+
+fn config_dbs(db: &Database) -> ConfigDbs {
+    CONFIGS
+        .iter()
+        .map(|&(name, cfg, cached)| (name, under(db, cfg), cached))
+        .collect()
 }
 
 /// Strict bit-identity for the config axis: same variant, same bits
@@ -187,45 +201,53 @@ fn render(outcome: &Result<ResultSet, EngineError>) -> String {
 
 /// The engine-config identity axis alone: one query bit-identical across
 /// all six {indexed, seqscan} × {vectorized, rowexec} × {fresh, cached}
-/// configurations. Returns the raw disagreement, if any.
+/// configurations. Returns the agreed outcome, or the raw disagreement.
 fn check_engine_configs(
-    db: &Database,
+    dbs: &ConfigDbs,
     cache: &QueryCache,
     sql: &str,
-) -> Option<(String, String, String)> {
-    let runs: Vec<(&str, Result<ResultSet, EngineError>)> = CONFIGS
+) -> Result<Result<ResultSet, EngineError>, (String, String, String)> {
+    // All six run before any comparison, so which entries the shared
+    // cache holds never depends on where a disagreement shows up.
+    let mut runs = dbs
         .iter()
-        .map(|(name, force, cached, vec)| {
-            (*name, run_config(db, cache, sql, *force, *cached, *vec))
+        .map(|(name, db, cached)| {
+            let outcome = if *cached {
+                cache.execute_cached(db, sql).map(|rs| (*rs).clone())
+            } else {
+                execute_sql(db, sql)
+            };
+            (*name, outcome)
         })
-        .collect();
-    let (base_name, base) = &runs[0];
-    for (name, outcome) in &runs[1..] {
-        if !outcome_bits_eq(base, outcome) {
-            return Some((
+        .collect::<Vec<_>>()
+        .into_iter();
+    let (base_name, base) = runs.next().expect("CONFIGS is not empty");
+    for (name, outcome) in runs {
+        if !outcome_bits_eq(&base, &outcome) {
+            return Err((
                 format!("{base_name} vs {name}"),
-                render(base),
-                render(outcome),
+                render(&base),
+                render(&outcome),
             ));
         }
     }
-    None
+    Ok(base)
 }
 
 /// Checks one query across every axis; returns the raw disagreement (if
 /// any) without minimization. `errored` is set when both sides failed
 /// identically (a conformant but dead corpus entry).
 fn check_raw(
-    db: &Database,
+    dbs: &ConfigDbs,
     cache: &QueryCache,
     sql: &str,
     errored: &mut bool,
 ) -> Option<(String, String, String)> {
-    if let Some(found) = check_engine_configs(db, cache, sql) {
-        return Some(found);
-    }
-    let base = &run_config(db, cache, sql, false, true, true);
-    let reference = ref_execute_sql(db, sql);
+    let base = &match check_engine_configs(dbs, cache, sql) {
+        Ok(base) => base,
+        Err(found) => return Some(found),
+    };
+    let reference = ref_execute_sql(&dbs[0].1, sql);
     match (base, &reference) {
         (Ok(engine_rs), Ok(ref_rs)) => {
             if !engine_rs.matches(ref_rs) {
@@ -248,17 +270,20 @@ fn check_raw(
     None
 }
 
-/// Checks one query; on disagreement, minimizes and packages the
-/// divergence. The process-global seq-scan override is restored to
-/// "follow the environment" on return.
+/// Checks one query under every config of `db`'s dialect; on
+/// disagreement, minimizes and packages the divergence.
 pub fn check_case(db: &Database, cache: &QueryCache, sql: &str) -> Option<Divergence> {
+    check_case_in(&config_dbs(db), cache, sql)
+}
+
+fn check_case_in(dbs: &ConfigDbs, cache: &QueryCache, sql: &str) -> Option<Divergence> {
     let mut errored = false;
-    let found = check_raw(db, cache, sql, &mut errored)?;
+    let found = check_raw(dbs, cache, sql, &mut errored)?;
     let minimized = minimize_sql(sql, &mut |candidate| {
         let mut e = false;
-        check_raw(db, cache, candidate, &mut e).is_some()
+        check_raw(dbs, cache, candidate, &mut e).is_some()
     });
-    let (config, expected, actual) = match check_raw(db, cache, &minimized, &mut false) {
+    let (config, expected, actual) = match check_raw(dbs, cache, &minimized, &mut false) {
         // Report the minimized query's own disagreement when it still
         // reproduces (minimization preserves "some divergence", not
         // necessarily the original one).
@@ -274,16 +299,18 @@ pub fn check_case(db: &Database, cache: &QueryCache, sql: &str) -> Option<Diverg
     })
 }
 
-/// Runs a whole corpus against one database.
+/// Runs a whole corpus against one database, under every config of its
+/// dialect.
 pub fn run_corpus(db: &Database, corpus: &[String]) -> ConformanceReport {
+    let dbs = config_dbs(db);
     let cache = QueryCache::new();
     let mut report = ConformanceReport::default();
     for sql in corpus {
         report.queries += 1;
         report.executions += CONFIGS.len();
         let mut errored = false;
-        if check_raw(db, &cache, sql, &mut errored).is_some() {
-            if let Some(d) = check_case(db, &cache, sql) {
+        if check_raw(&dbs, &cache, sql, &mut errored).is_some() {
+            if let Some(d) = check_case_in(&dbs, &cache, sql) {
                 report.divergences.push(d);
             }
         }
@@ -296,30 +323,21 @@ pub fn run_corpus(db: &Database, corpus: &[String]) -> ConformanceReport {
 
 /// Verifies one `hazard: runaway` query: under `budget` it must return
 /// [`EngineError::BudgetExceeded`] in *all four* execution modes —
-/// {indexed, forced seqscan} × {vectorized, row-at-a-time} — at the
-/// same `(stage, spent)` fuel count. Returns the agreed trip point, or
-/// a description of the violated invariant. Fuel is charged only on
-/// logical quantities that are bit-identical across access paths and
-/// executors (see [`crate::budget`]), so any disagreement here is an
-/// engine bug, not a tolerance issue. Restores both mode overrides
-/// before returning.
+/// {indexed, seqscan} × {vectorized, row-at-a-time}, the uncached
+/// [`CONFIGS`] — at the same `(stage, spent)` fuel count. Returns the
+/// agreed trip point, or a description of the violated invariant. Fuel
+/// is charged only on logical quantities that are bit-identical across
+/// access paths and executors (see [`crate::budget`]), so any
+/// disagreement here is an engine bug, not a tolerance issue.
 pub fn check_hazard(
     db: &Database,
     sql: &str,
     budget: &ExecBudget,
 ) -> Result<(&'static str, u64), String> {
-    const MODES: [(&str, bool, bool); 4] = [
-        ("indexed", false, true),
-        ("seqscan", true, true),
-        ("indexed+rowexec", false, false),
-        ("seqscan+rowexec", true, false),
-    ];
     let mut trips: Vec<(&'static str, (&'static str, u64))> = Vec::new();
     let mut violation = None;
-    for (mode, force, vec) in MODES {
-        set_force_seqscan(Some(force));
-        set_vectorized(Some(vec));
-        let outcome = execute_sql_with_budget(db, sql, budget);
+    for &(mode, cfg, _) in &CONFIGS[..4] {
+        let outcome = execute_sql_with_budget(&under(db, cfg), sql, budget);
         match outcome {
             Err(EngineError::BudgetExceeded { stage, spent }) => trips.push((mode, (stage, spent))),
             Err(e) => {
@@ -335,8 +353,6 @@ pub fn check_hazard(
             }
         }
     }
-    set_force_seqscan(None);
-    set_vectorized(None);
     if let Some(v) = violation {
         return Err(v);
     }
@@ -422,21 +438,21 @@ pub fn minimize_sql(sql: &str, diverges: &mut dyn FnMut(&str) -> bool) -> String
 /// reference interpreter is deliberately NOT in this loop: it joins by
 /// cross product, which is intractable on the full-size instances this
 /// axis runs against (it already vouches for engine semantics on the
-/// generated corpus databases).
+/// generated corpus databases). The source query runs under the source
+/// database's own config.
 fn morph_raw(
     src_db: &Database,
-    src_cache: &QueryCache,
-    dst_db: &Database,
+    dst_dbs: &ConfigDbs,
     dst_cache: &QueryCache,
     src_sql: &str,
     dst_sql: &str,
     errored: &mut bool,
 ) -> Option<(String, String, String)> {
-    if let Some(found) = check_engine_configs(dst_db, dst_cache, dst_sql) {
+    if let Err(found) = check_engine_configs(dst_dbs, dst_cache, dst_sql) {
         return Some(found);
     }
-    let src = run_config(src_db, src_cache, src_sql, false, false, true);
-    let dst = run_config(dst_db, dst_cache, dst_sql, false, false, true);
+    let src = execute_sql(src_db, src_sql);
+    let dst = execute_sql(&dst_dbs[0].1, dst_sql);
     match (&src, &dst) {
         (Ok(a), Ok(b)) if a.matches(b) => None,
         (Err(_), Err(_)) => {
@@ -457,10 +473,9 @@ fn morph_raw(
 /// query is always paired with its own co-rewrite. A rewrite failure on
 /// the entry query is itself a divergence — every gold query must carry
 /// over to every synthesized model.
-pub fn check_morph_case(
+fn check_morph_case(
     src_db: &Database,
-    src_cache: &QueryCache,
-    dst_db: &Database,
+    dst_dbs: &ConfigDbs,
     dst_cache: &QueryCache,
     src_sql: &str,
     rewrite: &mut dyn FnMut(&str) -> Option<String>,
@@ -475,23 +490,14 @@ pub fn check_morph_case(
             actual: "rewrite failed".to_string(),
         });
     };
-    let found = morph_raw(
-        src_db, src_cache, dst_db, dst_cache, src_sql, &dst_sql, errored,
-    )?;
+    let found = morph_raw(src_db, dst_dbs, dst_cache, src_sql, &dst_sql, errored)?;
     let minimized = minimize_sql(src_sql, &mut |candidate| {
         rewrite(candidate).is_some_and(|d| {
-            morph_raw(
-                src_db, src_cache, dst_db, dst_cache, candidate, &d, &mut false,
-            )
-            .is_some()
+            morph_raw(src_db, dst_dbs, dst_cache, candidate, &d, &mut false).is_some()
         })
     });
     let (config, expected, actual) = rewrite(&minimized)
-        .and_then(|d| {
-            morph_raw(
-                src_db, src_cache, dst_db, dst_cache, &minimized, &d, &mut false,
-            )
-        })
+        .and_then(|d| morph_raw(src_db, dst_dbs, dst_cache, &minimized, &d, &mut false))
         .unwrap_or(found);
     Some(Divergence {
         sql: src_sql.to_string(),
@@ -509,7 +515,7 @@ pub fn run_morph_corpus(
     corpus: &[String],
     rewrite: &mut dyn FnMut(&str) -> Option<String>,
 ) -> ConformanceReport {
-    let src_cache = QueryCache::new();
+    let dst_dbs = config_dbs(dst_db);
     let dst_cache = QueryCache::new();
     let mut report = ConformanceReport::default();
     for sql in corpus {
@@ -517,15 +523,8 @@ pub fn run_morph_corpus(
         // All dst configs, plus the cross-model EX pair.
         report.executions += CONFIGS.len() + 2;
         let mut errored = false;
-        if let Some(d) = check_morph_case(
-            src_db,
-            &src_cache,
-            dst_db,
-            &dst_cache,
-            sql,
-            rewrite,
-            &mut errored,
-        ) {
+        if let Some(d) = check_morph_case(src_db, &dst_dbs, &dst_cache, sql, rewrite, &mut errored)
+        {
             report.divergences.push(d);
         }
         if errored {
@@ -638,10 +637,8 @@ mod tests {
         db
     }
 
-    // NOTE: tests that drive `check_case`/`run_corpus` live in the root
-    // `tests/conformance.rs` integration binary. They toggle the
-    // process-global scan mode, which would race with this crate's cache
-    // hit-count and index-probe unit tests if run in the same process.
+    // NOTE: tests that drive `check_case`/`run_corpus` over generated
+    // corpora live in the root `tests/conformance.rs` integration binary.
     #[test]
     fn engine_agrees_with_reference_without_mode_toggling() {
         let db = db();

@@ -18,6 +18,7 @@
 //! thread-local stripe id; reads sum the stripes, so totals are exact.
 
 use crate::catalog::{Catalog, DataType, TableSchema};
+use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::value::{IndexKey, Value};
 use std::collections::{HashMap, HashSet};
@@ -122,6 +123,8 @@ pub struct Database {
     /// [`crate::morph::catalog_fingerprint`]), computed eagerly so cache
     /// keying never pays a hash of the whole catalog per query.
     catalog_fp: u64,
+    /// The dialect, access path and executor queries run under.
+    config: EngineConfig,
     data: Vec<TableData>,
     /// Lazily built per-`(table, column)` hash indexes, lock-striped by
     /// a hash of the key so concurrent access-path setup on different
@@ -132,12 +135,13 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Clones catalog and rows; the index cache starts empty (indexes
-    /// rebuild lazily) and counters reset.
+    /// Clones catalog, config and rows; the index cache starts empty
+    /// (indexes rebuild lazily) and counters reset.
     fn clone(&self) -> Database {
         Database {
             catalog: self.catalog.clone(),
             catalog_fp: self.catalog_fp,
+            config: self.config,
             data: self.data.clone(),
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
@@ -161,6 +165,7 @@ impl Database {
         Database {
             catalog,
             catalog_fp,
+            config: EngineConfig::default(),
             data,
             indexes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             index_builds: AtomicU64::new(0),
@@ -170,6 +175,18 @@ impl Database {
 
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// This database with its queries run under `config`. Indexes are
+    /// config-independent and stay cached.
+    pub fn with_config(mut self, config: EngineConfig) -> Database {
+        self.config = config;
+        self
+    }
+
+    /// The config every query against this database runs under.
+    pub fn config(&self) -> EngineConfig {
+        self.config
     }
 
     /// Structural fingerprint of this database's data model. Distinct

@@ -11,14 +11,17 @@
 //! complete the feature set.
 //!
 //! Every access-path decision is a pure function of the database
-//! statistics and the query (see [`crate::plan`]), never of timing, so
-//! results are bit-identical across thread counts, across the
-//! `REPRO_FORCE_SEQSCAN=1` reference mode (which disables index usage
-//! but not the planner's order decisions), and across the columnar
-//! executor in [`crate::vexec`] (which shares this module's plan,
-//! charging discipline, and output stage).
+//! statistics, its [`EngineConfig`](crate::EngineConfig) and the query
+//! (see [`crate::plan`]), never of timing, so results are bit-identical
+//! across thread counts, across the [`Access::SeqScan`](crate::Access)
+//! reference mode (which disables index usage but not the planner's
+//! order decisions), and across the columnar executor in
+//! [`crate::vexec`] (which shares this module's plan, charging
+//! discipline, and output stage). The dialect, too, is read from the
+//! database being queried, never from process state.
 
 use crate::budget::{charge, charge_rows, ExecBudget, FuelGuard, FuelSpent};
+use crate::config::Executor;
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::result::ResultSet;
@@ -30,8 +33,7 @@ use sqlkit::Dialect;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Executes a parsed query against the database.
 pub fn execute(db: &Database, query: &Query) -> Result<ResultSet, EngineError> {
@@ -47,23 +49,12 @@ pub fn execute_sql(db: &Database, sql: &str) -> Result<ResultSet, EngineError> {
     execute(db, &query)
 }
 
-/// Executes a parsed query under a fuel budget: pathological plans
+/// Parses and executes SQL text under a fuel budget: pathological plans
 /// return [`EngineError::BudgetExceeded`] instead of hanging or
 /// exhausting memory. The budget is installed thread-locally for the
 /// duration of this call (restored even on unwind) and covers every
-/// nested subquery execution. See [`crate::budget`] for the accounting
-/// rules.
-pub fn execute_with_budget(
-    db: &Database,
-    query: &Query,
-    budget: &ExecBudget,
-) -> Result<ResultSet, EngineError> {
-    let _guard = FuelGuard::install(*budget);
-    execute(db, query)
-}
-
-/// Parses and executes SQL text under a fuel budget. Parsing itself is
-/// not charged — only execution consumes fuel.
+/// nested subquery execution; parsing itself is not charged. See
+/// [`crate::budget`] for the accounting rules.
 pub fn execute_sql_with_budget(
     db: &Database,
     sql: &str,
@@ -91,125 +82,6 @@ pub(crate) fn execute_sql_metered(
             (out, guard.spent())
         }
         Err(e) => (Err(e), FuelSpent::default()),
-    }
-}
-
-// ---- execution-mode switches and stage accounting -----------------------
-
-/// 0 = follow `REPRO_FORCE_SEQSCAN`; 1 = force indexes allowed; 2 = force
-/// sequential scans.
-static FORCE_SEQSCAN_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static FORCE_SEQSCAN_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Programmatic override of the `REPRO_FORCE_SEQSCAN` environment
-/// variable: `Some(true)` disables every index access path (the
-/// differential reference mode), `Some(false)` enables them regardless
-/// of the environment, `None` restores environment resolution. Process
-/// wide; results are identical either way by construction — only the
-/// access paths differ.
-pub fn set_force_seqscan(force: Option<bool>) {
-    let v = match force {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    FORCE_SEQSCAN_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// Fingerprint of every process-wide planner/execution toggle a cached
-/// result could depend on. [`crate::cache::QueryCache`] keys entries by
-/// this, so a mid-process `set_force_seqscan` or `set_vectorized` flip
-/// can never serve a result computed under the other configuration —
-/// even though today the modes are bit-identical by construction, the
-/// cache must not *rely* on that invariant. Any future planner toggle
-/// must be folded in here.
-///
-/// The dialect bit is the one toggle that is *not* observationally
-/// neutral — `7 / 2` really is `3` under Postgres and `3.5` under
-/// SQLite — so folding it in here is what keeps a cached Postgres
-/// result from ever answering a SQLite query (and splits the serve
-/// layer's sharded caches per dialect for free).
-pub fn planner_config_fingerprint() -> u64 {
-    force_seqscan() as u64
-        | (vectorized_enabled() as u64) << 1
-        | ((current_dialect() == Dialect::Sqlite) as u64) << 2
-}
-
-/// True when index access paths are disabled.
-pub(crate) fn force_seqscan() -> bool {
-    match FORCE_SEQSCAN_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => *FORCE_SEQSCAN_ENV.get_or_init(|| {
-            std::env::var("REPRO_FORCE_SEQSCAN").is_ok_and(|v| !v.trim().is_empty() && v != "0")
-        }),
-    }
-}
-
-/// 0 = follow `REPRO_FORCE_ROWEXEC`; 1 = force the columnar executor
-/// on; 2 = force the row executor.
-static VECTORIZED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static VECTORIZED_ENV: OnceLock<bool> = OnceLock::new();
-
-/// Programmatic override of the `REPRO_FORCE_ROWEXEC` environment
-/// variable: `Some(false)` pins every eligible query to the
-/// row-at-a-time executor (the differential reference mode),
-/// `Some(true)` enables the columnar executor regardless of the
-/// environment, `None` restores environment resolution. Process wide;
-/// results, fuel charges, and deterministic trace counters are
-/// identical either way by construction — only the inner loops differ.
-pub fn set_vectorized(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(true) => 1,
-        Some(false) => 2,
-    };
-    VECTORIZED_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// True when eligible queries run on the columnar executor.
-pub(crate) fn vectorized_enabled() -> bool {
-    match VECTORIZED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => !*VECTORIZED_ENV.get_or_init(|| {
-            std::env::var("REPRO_FORCE_ROWEXEC").is_ok_and(|v| !v.trim().is_empty() && v != "0")
-        }),
-    }
-}
-
-/// 0 = follow `REPRO_DIALECT`; 1 = Postgres; 2 = Sqlite.
-static DIALECT_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static DIALECT_ENV: OnceLock<Dialect> = OnceLock::new();
-
-/// Programmatic override of the `REPRO_DIALECT` environment variable:
-/// pins the whole engine — both executors, ordering, `LIKE`, arithmetic
-/// — to one backend's observable semantics. `None` restores environment
-/// resolution (default: [`Dialect::Postgres`], the semantics this
-/// engine has always had). Process wide, like the other mode switches;
-/// unlike them the dialect is *observable* in results, which is exactly
-/// why it is folded into [`planner_config_fingerprint`] and therefore
-/// into every query-cache key.
-pub fn set_dialect(dialect: Option<Dialect>) {
-    let v = match dialect {
-        None => 0,
-        Some(Dialect::Postgres) => 1,
-        Some(Dialect::Sqlite) => 2,
-    };
-    DIALECT_OVERRIDE.store(v, Ordering::SeqCst);
-}
-
-/// The active SQL dialect (see [`set_dialect`]).
-pub fn current_dialect() -> Dialect {
-    match DIALECT_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Dialect::Postgres,
-        2 => Dialect::Sqlite,
-        _ => *DIALECT_ENV.get_or_init(|| {
-            std::env::var("REPRO_DIALECT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(Dialect::Postgres)
-        }),
     }
 }
 
@@ -400,7 +272,8 @@ fn exec_query(
     if !query.order_by.is_empty() {
         let _sort = trace::span("sort");
         let keys = order_keys_by_output(&result, &query.order_by)?;
-        sort_by_keys(&mut result.rows, keys, &query.order_by);
+        let order = sort_order(&keys, &query.order_by, db.config().dialect);
+        result.rows = order.into_iter().map(|i| result.rows[i].clone()).collect();
         result.ordered = true;
         trace::rows_out(result.rows.len() as u64);
     }
@@ -566,6 +439,7 @@ struct TopKEntry {
     idx: usize,
     row: Vec<Value>,
     desc: Arc<[bool]>,
+    dialect: Dialect,
 }
 
 impl PartialEq for TopKEntry {
@@ -584,9 +458,8 @@ impl PartialOrd for TopKEntry {
 
 impl Ord for TopKEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let dialect = current_dialect();
         for ((x, y), desc) in self.keys.iter().zip(&other.keys).zip(self.desc.iter()) {
-            let ord = x.sort_cmp(y, dialect);
+            let ord = x.sort_cmp(y, self.dialect);
             let ord = if *desc { ord.reverse() } else { ord };
             if ord != std::cmp::Ordering::Equal {
                 return ord;
@@ -621,7 +494,7 @@ fn exec_select(
     // produces bit-identical results and charges fuel in the identical
     // order (`crate::vexec`). Correlated subqueries (outer env) stay on
     // the row engine.
-    if plan.vectorized && outer.is_none() && vectorized_enabled() {
+    if plan.vectorized && outer.is_none() && db.config().executor == Executor::Vectorized {
         return crate::vexec::exec_select_vec(db, s, order_by, limit, &plan);
     }
 
@@ -786,6 +659,7 @@ pub(crate) fn output_stage(
                 idx,
                 row: out_row,
                 desc: Arc::clone(&desc),
+                dialect: db.config().dialect,
             };
             if heap.len() < k {
                 heap.push(entry);
@@ -851,13 +725,8 @@ pub(crate) fn output_stage(
                 )
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let mut idx: Vec<usize> = (0..pairs.len()).collect();
-        sort_indices(&mut idx, &keys, order_by);
-        let mut reordered = Vec::with_capacity(pairs.len());
-        for i in idx {
-            reordered.push(pairs[i].1.clone());
-        }
-        out.rows = reordered;
+        let order = sort_order(&keys, order_by, db.config().dialect);
+        out.rows = order.into_iter().map(|i| pairs[i].1.clone()).collect();
         out.ordered = true;
         if let Some(n) = limit {
             out.rows.truncate(n as usize);
@@ -929,8 +798,9 @@ fn order_key_row(
     Ok(keys)
 }
 
-fn sort_indices(idx: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem]) {
-    let dialect = current_dialect();
+/// Row positions `0..keys.len()` stably sorted by their ORDER BY keys.
+fn sort_order(keys: &[Vec<Value>], order_by: &[OrderItem], dialect: Dialect) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..keys.len()).collect();
     idx.sort_by(|&a, &b| {
         for (k, o) in keys[a].iter().zip(&keys[b]).zip(order_by) {
             let (x, y) = k;
@@ -942,16 +812,7 @@ fn sort_indices(idx: &mut [usize], keys: &[Vec<Value>], order_by: &[OrderItem]) 
         }
         std::cmp::Ordering::Equal
     });
-}
-
-fn sort_by_keys(rows: &mut Vec<Vec<Value>>, keys: Vec<Vec<Value>>, order_by: &[OrderItem]) {
-    let mut idx: Vec<usize> = (0..rows.len()).collect();
-    sort_indices(&mut idx, &keys, order_by);
-    let mut reordered = Vec::with_capacity(rows.len());
-    for i in idx {
-        reordered.push(rows[i].clone());
-    }
-    *rows = reordered;
+    idx
 }
 
 fn order_keys_by_output(
@@ -1665,9 +1526,7 @@ fn exec_aggregate(
 
     if !order_by.is_empty() {
         let keys: Vec<Vec<Value>> = group_outputs.iter().map(|(k, _)| k.clone()).collect();
-        let mut idx: Vec<usize> = (0..group_outputs.len()).collect();
-        sort_indices(&mut idx, &keys, order_by);
-        out.rows = idx
+        out.rows = sort_order(&keys, order_by, db.config().dialect)
             .into_iter()
             .map(|i| group_outputs[i].1.clone())
             .collect();
@@ -1719,7 +1578,7 @@ fn eval_agg(
         Expr::Binary { left, op, right } => {
             let l = eval_agg(db, left, rel, group, outer)?;
             let r = eval_agg(db, right, rel, group, outer)?;
-            apply_binary(&l, *op, &r)
+            apply_binary(&l, *op, &r, db.config().dialect)
         }
         Expr::Unary { op, expr } => {
             let v = eval_agg(db, expr, rel, group, outer)?;
@@ -1836,7 +1695,7 @@ fn compute_aggregate(
                 best = Some(match best {
                     None => v,
                     Some(b) => {
-                        let take_new = match v.sql_cmp(&b, current_dialect())? {
+                        let take_new = match v.sql_cmp(&b, db.config().dialect)? {
                             Some(ord) => {
                                 (func == AggFunc::Min && ord == std::cmp::Ordering::Less)
                                     || (func == AggFunc::Max && ord == std::cmp::Ordering::Greater)
@@ -2014,7 +1873,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             _ => {
                 let l = eval(db, left, env)?;
                 let r = eval(db, right, env)?;
-                apply_binary(&l, *op, &r)
+                apply_binary(&l, *op, &r, db.config().dialect)
             }
         },
         Expr::Agg { .. } => Err(EngineError::Eval(
@@ -2039,7 +1898,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let mut saw_null = false;
             for item in list {
                 let w = eval(db, item, env)?;
-                match v.sql_eq(&w, current_dialect())? {
+                match v.sql_eq(&w, db.config().dialect)? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -2064,7 +1923,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let mut saw_null = false;
             for row in &rs.rows {
                 let w = row.first().cloned().unwrap_or(Value::Null);
-                match v.sql_eq(&w, current_dialect())? {
+                match v.sql_eq(&w, db.config().dialect)? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -2097,7 +1956,7 @@ pub(crate) fn eval(db: &Database, expr: &Expr, env: &Env<'_>) -> Result<Value, E
             let v = eval(db, expr, env)?;
             let lo = eval(db, low, env)?;
             let hi = eval(db, high, env)?;
-            let dialect = current_dialect();
+            let dialect = db.config().dialect;
             let ge = v
                 .sql_cmp(&lo, dialect)?
                 .map(|o| o != std::cmp::Ordering::Less);
@@ -2143,9 +2002,13 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, EngineError> 
     }
 }
 
-pub(crate) fn apply_binary(l: &Value, op: BinOp, r: &Value) -> Result<Value, EngineError> {
+pub(crate) fn apply_binary(
+    l: &Value,
+    op: BinOp,
+    r: &Value,
+    dialect: Dialect,
+) -> Result<Value, EngineError> {
     use BinOp::*;
-    let dialect = current_dialect();
     match op {
         And | Or => {
             // Handled with short-circuiting in `eval`; direct calls (e.g.
@@ -2603,8 +2466,7 @@ mod tests {
         // zero divisor is an error. (The engine used to return 3.5 and
         // NULL here while claiming PostgreSQL semantics — the dialect
         // sweep flushed that out; SQLite-mode behavior is pinned by the
-        // conformance dialect oracles and the integration tests, which
-        // serialize the process-global dialect switch.)
+        // conformance dialect oracles and the integration tests.)
         let db = test_db();
         let rs = run(
             &db,

@@ -12,8 +12,9 @@
 //! the SQL shell's `\explain` and by tests pinning the planner's
 //! decisions.
 
+use crate::config::Executor;
 use crate::db::Database;
-use crate::exec::{fold_uncorrelated, vectorized_enabled};
+use crate::exec::fold_uncorrelated;
 use crate::plan::{plan_select, Access, JoinAlgo};
 use sqlkit::ast::*;
 use sqlkit::printer::expr_to_sql;
@@ -38,7 +39,9 @@ pub fn explain_sql(db: &Database, sql: &str) -> Result<String, crate::EngineErro
 /// latter explicitly marked non-deterministic). Execution errors are
 /// reported inline; the spans recorded up to the failure still render.
 pub fn explain_analyze(db: &Database, query: &Query) -> String {
-    let (result, trace) = crate::trace::trace_execute(db, query);
+    let guard = crate::trace::TraceGuard::install();
+    let result = crate::exec::execute(db, query);
+    let trace = guard.finish();
     render_analyze(explain(db, query), result, trace)
 }
 
@@ -173,7 +176,7 @@ fn explain_select(db: &Database, s: &Select, indent: usize, out: &mut String) {
 
     pad(out, indent);
     let _ = writeln!(out, "select ({} output column(s))", s.projections.len());
-    if plan.vectorized && vectorized_enabled() {
+    if plan.vectorized && db.config().executor == Executor::Vectorized {
         pad(out, indent + 1);
         out.push_str("executor: vectorized (columnar batches)\n");
     }
@@ -498,11 +501,13 @@ mod tests {
             plan.contains("executor: vectorized (columnar batches)"),
             "{plan}"
         );
-        // Forcing the row engine removes the routing line — EXPLAIN
+        // The row engine's config removes the routing line — EXPLAIN
         // reflects the executor that will run, not a fixed banner.
-        crate::exec::set_vectorized(Some(false));
-        let plan_row = explain_sql(&db, sql).unwrap();
-        crate::exec::set_vectorized(None);
+        let row_db = db.clone().with_config(crate::EngineConfig {
+            executor: Executor::Row,
+            ..Default::default()
+        });
+        let plan_row = explain_sql(&row_db, sql).unwrap();
         assert!(!plan_row.contains("executor:"), "{plan_row}");
         // Derived tables are not vectorizable: the outer select carries
         // no executor line (the derived subquery, a plain scan of u,

@@ -11,6 +11,8 @@
 //!   (small results, oversize shapes, deterministic errors) keyed by
 //!   query text, with hits bounded by the caller's fuel budget;
 //! * [`catalog`] — schema metadata with PK/FK constraints;
+//! * [`config`] — the [`EngineConfig`] (dialect, access path, executor)
+//!   each [`Database`] carries and every query against it runs under;
 //! * [`db`] — row storage with type checking, referential-integrity
 //!   auditing, and lazy per-`(table, column)` hash indexes;
 //! * [`plan`] — the physical planner: predicate pushdown, access-path
@@ -47,6 +49,7 @@
 pub mod budget;
 pub mod cache;
 pub mod catalog;
+pub mod config;
 pub mod conformance;
 pub mod db;
 pub mod error;
@@ -62,18 +65,15 @@ mod vexec;
 pub use budget::ExecBudget;
 pub use cache::{CacheStats, QueryCache, ShardStats};
 pub use catalog::{Catalog, ColumnDef, DataType, ForeignKey, TableSchema};
+pub use config::{Access, EngineConfig, Executor};
 pub use db::{ColumnIndex, Database, IndexStats};
 pub use error::EngineError;
-pub use exec::{
-    current_dialect, execute, execute_sql, execute_sql_with_budget, execute_with_budget,
-    planner_config_fingerprint, set_dialect, set_force_seqscan, set_vectorized,
-};
+pub use exec::{execute, execute_sql, execute_sql_with_budget};
 pub use explain::{explain, explain_analyze, explain_analyze_sql, explain_sql};
 pub use morph::{catalog_fingerprint, migrate, migrate_database, schema_of};
 pub use result::ResultSet;
 pub use sqlkit::Dialect;
 pub use trace::{
-    trace_execute, trace_execute_sql, trace_execute_sql_with_budget, TraceCounters, TraceGuard,
-    TraceSpan,
+    trace_execute_sql, trace_execute_sql_with_budget, TraceCounters, TraceGuard, TraceSpan,
 };
 pub use value::{canon_f64, like_match, CmpTypeError, IndexKey, Value};

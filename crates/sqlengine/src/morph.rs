@@ -387,7 +387,8 @@ pub fn migrate(
     Ok((catalog, rows))
 }
 
-/// Apply a whole op chain to a database, producing the morphed database.
+/// Apply a whole op chain to a database, producing the morphed database
+/// (under the same engine config).
 pub fn migrate_database(db: &Database, ops: &[MorphOp]) -> Result<Database, MorphError> {
     let mut catalog = db.catalog().clone();
     let mut rows: InstanceRows = catalog
@@ -404,7 +405,7 @@ pub fn migrate_database(db: &Database, ops: &[MorphOp]) -> Result<Database, Morp
         out.insert_all(name, table_rows)
             .map_err(|e| MorphError::Unsupported(format!("migrated data rejected: {e}")))?;
     }
-    Ok(out)
+    Ok(out.with_config(db.config()))
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! Every planner decision — predicate pushdown, per-scan access path,
 //! join order, join algorithm, hash build side, and whether the
 //! vectorized executor may run — is a pure function of the catalog
-//! statistics, the query text, and the process-wide planner toggles.
+//! statistics, the query text, and the database's
+//! [`EngineConfig`](crate::EngineConfig).
 //! [`plan_select`] folds all of them into one explicit [`SelectPlan`]
 //! that the row executor ([`crate::exec`]), the columnar executor
 //! ([`crate::vexec`]), and [`crate::explain`] all consume, so the
@@ -14,8 +15,9 @@
 //! builds) the index at run time, so EXPLAIN leaves `index_builds`
 //! untouched.
 
+use crate::config::Access as AccessMode;
 use crate::db::Database;
-use crate::exec::{force_seqscan, lit_value};
+use crate::exec::lit_value;
 use crate::value::Value;
 use sqlkit::ast::*;
 
@@ -85,7 +87,7 @@ pub struct SelectPlan {
     /// executor: a non-empty FROM of named base tables only, with a
     /// subquery-free residual and subquery-free ON clauses. The
     /// executor additionally requires no outer (correlated) scope and
-    /// an enabled `vectorized` toggle at run time.
+    /// the vectorized executor in the database's config.
     pub vectorized: bool,
 }
 
@@ -118,7 +120,7 @@ pub fn plan_select(db: &Database, s: &Select, folded_where: Option<&Expr>) -> Se
     for ji in order {
         let j = &s.joins[ji];
         let right_est = scan_estimate(db, &j.table, &pushed);
-        let inl = if force_seqscan() {
+        let inl = if db.config().access == AccessMode::SeqScan {
             None
         } else {
             inl_key(db, j).and_then(|(left_col, right_col)| {
@@ -192,7 +194,7 @@ fn plan_scan(db: &Database, t: &TableRef, pushed: &[(String, Expr)]) -> ScanPlan
             if mine.is_empty() {
                 Access::Seq
             } else {
-                let choice = if force_seqscan() {
+                let choice = if db.config().access == AccessMode::SeqScan {
                     None
                 } else {
                     db.schema(name).and_then(|schema| {
@@ -668,10 +670,11 @@ mod tests {
 
     #[test]
     fn forced_seqscan_demotes_inl_to_hash() {
-        let db = db();
-        crate::exec::set_force_seqscan(Some(true));
+        let db = db().with_config(crate::EngineConfig {
+            access: AccessMode::SeqScan,
+            ..Default::default()
+        });
         let plan = plan_of(&db, "SELECT a.x FROM t AS a JOIN u AS b ON a.id = b.id");
-        crate::exec::set_force_seqscan(None);
         assert!(matches!(&plan.join_order[0].algo, JoinAlgo::Hash { .. }));
     }
 

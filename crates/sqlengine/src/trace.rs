@@ -23,8 +23,8 @@
 //! 2. **Access-path detail** — the `detail` string (join algorithm,
 //!    scan driver) and `index_probes`/`index_hits`/`cache_hits`/
 //!    `cache_misses`. Deterministic for a fixed configuration but *not*
-//!    across `REPRO_FORCE_SEQSCAN` modes, and cache events depend on
-//!    scheduling; excluded from the deterministic digests.
+//!    across [`Access`](crate::Access) modes, and cache events depend
+//!    on scheduling; excluded from the deterministic digests.
 //! 3. **Timing** — `cpu_ns`, the span's thread-CPU nanoseconds
 //!    ([`CLOCK_THREAD_CPUTIME_ID`] on Linux). CPU rather than wall
 //!    clock so an operator is billed only for cycles it actually
@@ -40,7 +40,7 @@
 //!
 //! * [`TraceSpan::counter_tree`] — the full tree with deterministic
 //!   counters only. Identical across thread counts and cold/cached
-//!   runs *under one planner configuration*.
+//!   runs *under one engine configuration*.
 //! * [`TraceSpan::logical_digest`] — additionally splices out `scan`
 //!   spans (promoting their children). An index-nested-loop join never
 //!   materializes its right side, so scan-span *placement* differs
@@ -53,7 +53,6 @@ use crate::budget::ExecBudget;
 use crate::db::Database;
 use crate::error::EngineError;
 use crate::result::ResultSet;
-use sqlkit::ast::Query;
 use std::cell::RefCell;
 use std::fmt::Write as _;
 
@@ -160,44 +159,10 @@ impl TraceSpan {
         go(self, 0, f);
     }
 
-    /// Sums the counters of every span in the subtree whose stage is
-    /// `stage`, and how many such spans exist.
-    pub fn stage_totals(&self, stage: &str) -> (u64, TraceCounters) {
-        let mut n = 0u64;
-        let mut acc = TraceCounters::default();
-        self.visit(&mut |s, _| {
-            if s.stage == stage {
-                n += 1;
-                acc.rows_out += s.counters.rows_out;
-                acc.fuel_steps += s.counters.fuel_steps;
-                acc.fuel_cells += s.counters.fuel_cells;
-                acc.index_probes += s.counters.index_probes;
-                acc.index_hits += s.counters.index_hits;
-                acc.cache_hits += s.counters.cache_hits;
-                acc.cache_misses += s.counters.cache_misses;
-                acc.batches_out += s.counters.batches_out;
-            }
-        });
-        (n, acc)
-    }
-
-    /// Wall-clock nanoseconds summed over every span of `stage` in the
-    /// subtree. Attributions, not a partition: a subquery inside a join
-    /// predicate bills its own operators *and* its parent join.
-    pub fn stage_cpu_ns(&self, stage: &str) -> u64 {
-        let mut ns = 0u64;
-        self.visit(&mut |s, _| {
-            if s.stage == stage {
-                ns += s.cpu_ns;
-            }
-        });
-        ns
-    }
-
     /// The full deterministic counter tree: every span, rendered as
     /// `stage label rows=N steps=S cells=C`, timing and access-path
     /// fields excluded. Byte-identical across thread counts and across
-    /// cold vs memoized runs under one planner configuration.
+    /// cold vs memoized runs under one engine configuration.
     pub fn counter_tree(&self) -> String {
         let mut out = String::with_capacity(256);
         self.visit(&mut |s, depth| {
@@ -221,8 +186,8 @@ impl TraceSpan {
     /// with `scan` spans spliced out (children promoted one level).
     /// Scans charge no fuel and their placement is the one structural
     /// difference between indexed and forced-seqscan execution, so this
-    /// rendering is byte-identical across `REPRO_FORCE_SEQSCAN` modes
-    /// too.
+    /// rendering is byte-identical across [`Access`](crate::Access)
+    /// modes too.
     pub fn logical_digest(&self) -> String {
         fn go(s: &TraceSpan, depth: usize, out: &mut String) {
             if s.stage == "scan" {
@@ -506,14 +471,6 @@ pub(crate) fn replay(spans: &[TraceSpan]) {
             top.children.push(s);
         }
     });
-}
-
-/// Executes a parsed query with tracing, returning the result alongside
-/// the trace root.
-pub fn trace_execute(db: &Database, query: &Query) -> (Result<ResultSet, EngineError>, TraceSpan) {
-    let guard = TraceGuard::install();
-    let out = crate::exec::execute(db, query);
-    (out, guard.finish())
 }
 
 /// Parses and executes SQL text with tracing.

@@ -30,8 +30,8 @@
 //! Eligibility is decided by the planner (`SelectPlan::vectorized`:
 //! non-empty FROM of named base tables, subquery-free residual and ON
 //! clauses) plus two run-time conditions checked by `exec_select`: no
-//! outer (correlated) scope and the `REPRO_FORCE_ROWEXEC` /
-//! [`crate::exec::set_vectorized`] toggle.
+//! outer (correlated) scope and `Executor::Vectorized` in the
+//! database's [`EngineConfig`](crate::EngineConfig).
 
 use crate::budget::{charge, charge_rows};
 use crate::db::Database;
@@ -45,6 +45,7 @@ use crate::result::ResultSet;
 use crate::trace;
 use crate::value::Value;
 use sqlkit::ast::*;
+use sqlkit::Dialect;
 use std::collections::HashMap;
 
 /// Advisory batch granularity: `batches_out` counts how many vectors of
@@ -289,6 +290,7 @@ struct VEnv<'a, 'r> {
     src: VSrc<'a, 'r>,
     cols: &'r [(String, String)],
     plan: Option<&'r ColumnPlan>,
+    dialect: Dialect,
 }
 
 impl VEnv<'_, '_> {
@@ -387,7 +389,7 @@ fn veval(expr: &Expr, env: &VEnv<'_, '_>) -> Result<Value, EngineError> {
             _ => {
                 let l = veval(left, env)?;
                 let r = veval(right, env)?;
-                apply_binary(&l, *op, &r)
+                apply_binary(&l, *op, &r, env.dialect)
             }
         },
         Expr::Agg { .. } => Err(EngineError::Eval(
@@ -412,7 +414,7 @@ fn veval(expr: &Expr, env: &VEnv<'_, '_>) -> Result<Value, EngineError> {
             let mut saw_null = false;
             for item in list {
                 let w = veval(item, env)?;
-                match v.sql_eq(&w, crate::exec::current_dialect())? {
+                match v.sql_eq(&w, env.dialect)? {
                     Some(true) => return Ok(Value::Bool(!negated)),
                     Some(false) => {}
                     None => saw_null = true,
@@ -433,12 +435,11 @@ fn veval(expr: &Expr, env: &VEnv<'_, '_>) -> Result<Value, EngineError> {
             let v = veval(expr, env)?;
             let lo = veval(low, env)?;
             let hi = veval(high, env)?;
-            let dialect = crate::exec::current_dialect();
             let ge = v
-                .sql_cmp(&lo, dialect)?
+                .sql_cmp(&lo, env.dialect)?
                 .map(|o| o != std::cmp::Ordering::Less);
             let le = v
-                .sql_cmp(&hi, dialect)?
+                .sql_cmp(&hi, env.dialect)?
                 .map(|o| o != std::cmp::Ordering::Greater);
             Ok(match (ge, le) {
                 (Some(a), Some(b)) => Value::Bool((a && b) != *negated),
@@ -471,6 +472,7 @@ pub(crate) fn exec_select_vec(
     limit: Option<u64>,
     plan: &SelectPlan,
 ) -> Result<ResultSet, EngineError> {
+    let dialect = db.config().dialect;
     // 1. FROM + joins: identical span/charge structure to the row
     // engine, but every operator emits gather vectors.
     let mut rel: Option<VRel<'_>> = None;
@@ -501,6 +503,7 @@ pub(crate) fn exec_select_vec(
                 src: VSrc::One { rel: &rel, row },
                 cols: &rel.cols,
                 plan: Some(&cplan),
+                dialect,
             };
             if veval(w, &env)?.is_true() {
                 keeps.push(row as u32);
@@ -542,6 +545,7 @@ pub(crate) fn exec_select_vec(
                 src: VSrc::One { rel: &rel, row },
                 cols: &rel.cols,
                 plan: Some(&cplan),
+                dialect,
             };
             let mut out_row = Vec::with_capacity(items.len());
             for (_, e) in &items {
@@ -704,7 +708,7 @@ fn vexec_join<'a>(
     };
     let right = vscan(db, &join.table, right_pushed, &step.scan.access)?;
     let _span = trace::span_labeled("join", || join.table.binding().to_string());
-    let out = vjoin_relations(left, right, join, &step.algo);
+    let out = vjoin_relations(left, right, join, &step.algo, db.config().dialect);
     if let Ok(rel) = &out {
         trace::rows_out(rel.len as u64);
         trace::batches(batches_of(rel.len));
@@ -731,6 +735,7 @@ fn vinl_join<'a>(
     let binding = join.table.binding();
     let schema = db.schema(name).expect("checked by the planner");
     let right_rows = db.rows(name).unwrap();
+    let dialect = db.config().dialect;
     let mut cols = left.cols.clone();
     cols.extend(
         schema
@@ -775,6 +780,7 @@ fn vinl_join<'a>(
                     },
                     cols: &cols,
                     plan: Some(&cplan),
+                    dialect,
                 };
                 for e in &checks {
                     if !veval(e, &env)?.is_true() {
@@ -822,6 +828,7 @@ fn vjoin_relations<'a>(
     right: VRel<'a>,
     join: &Join,
     algo: &JoinAlgo,
+    dialect: Dialect,
 ) -> Result<VRel<'a>, EngineError> {
     let mut cols = left.cols.clone();
     cols.extend(right.cols.iter().cloned());
@@ -875,6 +882,7 @@ fn vjoin_relations<'a>(
                     },
                     cols: &cols,
                     plan: Some(&cplan),
+                    dialect,
                 };
                 if !veval(e, &env)?.is_true() {
                     return Ok(false);
@@ -978,6 +986,7 @@ fn vjoin_relations<'a>(
                             },
                             cols: &cols,
                             plan: cplan.as_ref(),
+                            dialect,
                         };
                         veval(on, &env)?.is_true()
                     }

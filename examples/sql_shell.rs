@@ -10,10 +10,13 @@
 //!
 //! Commands: `\model v1|v2|v3` switches the data model, `\schema [table]`
 //! prints schema information, `\tables` lists tables, `\quit` exits.
-//! Anything else is executed as SQL.
+//! Anything else is executed as SQL, under the engine config named by
+//! `REPRO_DIALECT`, `REPRO_FORCE_SEQSCAN` and `REPRO_FORCE_ROWEXEC`
+//! (`echo 'SELECT 7 / 2' | REPRO_DIALECT=sqlite ... sql_shell` prints
+//! `3.5`).
 
 use footballdb::{generate, load_all, DataModel};
-use sqlengine::{execute_sql, Database};
+use sqlengine::{execute_sql, Database, EngineConfig};
 use std::io::{BufRead, Write};
 
 fn find(dbs: &[(DataModel, Database); 3], m: DataModel) -> &Database {
@@ -55,7 +58,8 @@ fn main() {
         footballdb::DEFAULT_SEED
     );
     let domain = generate(footballdb::DEFAULT_SEED);
-    let dbs = load_all(&domain);
+    let engine = EngineConfig::from_env();
+    let dbs = load_all(&domain).map(|(m, db)| (m, db.with_config(engine)));
     let mut model = DataModel::V3;
 
     let stdin = std::io::stdin();

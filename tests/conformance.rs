@@ -11,26 +11,27 @@
 
 use sqlengine::conformance::{
     check_case, check_dialect_oracles, check_oracles, corpus_db, gen_corpus, gen_dialect_corpus,
-    minimize_sql, run_corpus, run_dialect_corpus, CorpusConfig,
+    minimize_sql, run_corpus, run_dialect_corpus, CorpusConfig, CONFIGS,
 };
 use sqlengine::{
-    execute_sql, planner_config_fingerprint, set_dialect, set_force_seqscan, set_vectorized,
-    trace_execute_sql, Catalog, DataType, Database, Dialect, QueryCache, TableSchema, Value,
+    execute_sql, trace_execute_sql, Access, Catalog, DataType, Database, Dialect, EngineConfig,
+    Executor, QueryCache, TableSchema, Value,
 };
-use std::sync::Mutex;
 
-/// Serializes every test that toggles (or observes the effect of) the
-/// process-global forced-seqscan, vectorization, or dialect modes. A
-/// poisoned lock is fine to reuse — the state it guards is reset on
-/// each acquisition.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// `db`'s data under the default config with `dialect`.
+fn in_dialect(db: &Database, dialect: Dialect) -> Database {
+    db.clone().with_config(EngineConfig {
+        dialect,
+        ..EngineConfig::default()
+    })
+}
 
-fn mode_guard() -> std::sync::MutexGuard<'static, ()> {
-    let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_force_seqscan(None);
-    set_vectorized(None);
-    set_dialect(None);
-    guard
+/// `db`'s data under the default config with `access`.
+fn with_access(db: &Database, access: Access) -> Database {
+    db.clone().with_config(EngineConfig {
+        access,
+        ..EngineConfig::default()
+    })
 }
 
 fn null_db() -> Database {
@@ -54,7 +55,6 @@ fn null_db() -> Database {
 
 #[test]
 fn oracle_semantics_hold_on_both_executors() {
-    let _g = mode_guard();
     let failures = check_oracles();
     assert!(
         failures.is_empty(),
@@ -70,7 +70,6 @@ fn oracle_semantics_hold_on_both_executors() {
 
 #[test]
 fn generated_corpus_is_conformant_on_every_seed() {
-    let _g = mode_guard();
     for seed in 40..44 {
         let db = corpus_db(seed);
         let corpus = gen_corpus(&CorpusConfig { seed, queries: 150 });
@@ -87,7 +86,6 @@ fn generated_corpus_is_conformant_on_every_seed() {
 
 #[test]
 fn check_case_reports_nothing_for_conformant_queries() {
-    let _g = mode_guard();
     let db = corpus_db(1);
     let cache = QueryCache::new();
     for sql in [
@@ -106,8 +104,11 @@ fn check_case_reports_nothing_for_conformant_queries() {
 /// which copies every column.
 #[test]
 fn pruned_materialization_matches_the_row_engine() {
-    let _g = mode_guard();
     let db = corpus_db(2);
+    let row_db = db.clone().with_config(EngineConfig {
+        executor: Executor::Row,
+        ..EngineConfig::default()
+    });
     let cache = QueryCache::new();
     for sql in [
         "SELECT count(*) FROM player AS p JOIN appearance AS a ON a.pid = p.pid \
@@ -121,41 +122,31 @@ fn pruned_materialization_matches_the_row_engine() {
          FROM player AS p ORDER BY 1",
     ] {
         assert!(check_case(&db, &cache, sql).is_none(), "diverged: {sql}");
-        let trees: Vec<String> = [true, false]
-            .into_iter()
-            .map(|vectorized| {
-                set_vectorized(Some(vectorized));
-                trace_execute_sql(&db, sql).1.counter_tree()
-            })
-            .collect();
-        set_vectorized(None);
-        assert_eq!(trees[0], trees[1], "counter trees differ: {sql}");
+        let vectorized = trace_execute_sql(&db, sql).1.counter_tree();
+        let row = trace_execute_sql(&row_db, sql).1.counter_tree();
+        assert_eq!(vectorized, row, "counter trees differ: {sql}");
     }
 }
 
 /// Regression (cache staleness): the result cache used to key on query
-/// text alone, so flipping a planner toggle could serve a result (or
-/// error) computed under the other configuration. The key now includes
-/// the planner-config fingerprint; flipping the toggle must miss, not
-/// hit stale.
+/// text alone, so one cache shared by databases under two configs could
+/// serve a result (or error) computed under the other. The key now
+/// includes the engine-config fingerprint; the second config must miss,
+/// not hit stale.
 #[test]
 fn query_cache_does_not_serve_results_across_planner_configs() {
-    let _g = mode_guard();
     let db = null_db();
+    let seq_db = with_access(&db, Access::SeqScan);
     let cache = QueryCache::new();
     let sql = "SELECT v FROM t WHERE id = 3";
 
-    set_force_seqscan(Some(false));
-    let fp_indexed = planner_config_fingerprint();
     let indexed = cache.execute_cached(&db, sql).unwrap();
-    set_force_seqscan(Some(true));
-    let fp_seqscan = planner_config_fingerprint();
-    let seqscan = cache.execute_cached(&db, sql).unwrap();
-    set_force_seqscan(None);
+    let seqscan = cache.execute_cached(&seq_db, sql).unwrap();
 
     assert_ne!(
-        fp_indexed, fp_seqscan,
-        "planner fingerprint must separate the configs"
+        db.config().fingerprint(),
+        seq_db.config().fingerprint(),
+        "config fingerprint must separate the configs"
     );
     let stats = cache.stats();
     assert_eq!(
@@ -173,7 +164,6 @@ fn query_cache_does_not_serve_results_across_planner_configs() {
 /// `SELECT v FROM t ORDER BY v [DESC] LIMIT k`.
 #[test]
 fn order_by_places_nulls_postgres_style() {
-    let _g = mode_guard();
     let db = null_db();
     let asc = execute_sql(&db, "SELECT v FROM t ORDER BY v").unwrap();
     let vals: Vec<Value> = asc.rows.iter().map(|r| r[0].clone()).collect();
@@ -198,7 +188,6 @@ fn order_by_places_nulls_postgres_style() {
 /// order.
 #[test]
 fn top_k_is_bit_identical_to_truncated_full_sort() {
-    let _g = mode_guard();
     let db = corpus_db(2);
     for sql in [
         "SELECT ratio FROM player ORDER BY ratio",
@@ -220,7 +209,6 @@ fn top_k_is_bit_identical_to_truncated_full_sort() {
 /// non-members.
 #[test]
 fn not_in_with_null_member_returns_no_nonmembers() {
-    let _g = mode_guard();
     let db = null_db();
     let rs = execute_sql(&db, "SELECT id FROM t WHERE v NOT IN (9, NULL)").unwrap();
     assert!(rs.rows.is_empty(), "got {:?}", rs.rows);
@@ -239,7 +227,6 @@ fn not_in_with_null_member_returns_no_nonmembers() {
 /// oracle, so the result is also deterministic.
 #[test]
 fn minimized_counterexamples_parse_and_rediverge() {
-    let _g = mode_guard();
     let sql = "SELECT DISTINCT squad, count(*) AS n FROM player \
                WHERE score > 0 AND minutes > 1 AND squad <> 'x' \
                GROUP BY squad, score HAVING count(*) > 0 ORDER BY n DESC, squad LIMIT 7";
@@ -274,7 +261,6 @@ fn minimized_counterexamples_parse_and_rediverge() {
 /// known-diverging entry form.
 #[test]
 fn minimizer_never_returns_a_non_reproducing_counterexample() {
-    let _g = mode_guard();
     let sql = "SELECT a FROM t WHERE a > 0 LIMIT 3";
     // Diverges a fixed number of times, then never again — the shape of
     // a heisenbug that stops reproducing mid-shrink.
@@ -301,7 +287,6 @@ fn minimizer_never_returns_a_non_reproducing_counterexample() {
 /// ALL respect multiplicities instead of deduplicating.
 #[test]
 fn bag_set_operations_respect_multiplicities() {
-    let _g = mode_guard();
     let db = null_db();
     // v multiset: {3, NULL, 1, NULL, 2, 1}; ids 1..=6.
     let rs = execute_sql(
@@ -330,7 +315,6 @@ fn bag_set_operations_respect_multiplicities() {
 /// divergence classifier attributes each to its declared class.
 #[test]
 fn dialect_oracles_hold_and_classify() {
-    let _g = mode_guard();
     let failures = check_dialect_oracles();
     assert!(
         failures.is_empty(),
@@ -350,14 +334,11 @@ fn dialect_oracles_hold_and_classify() {
 /// templates, which are engineered to sit on the semantic boundary).
 #[test]
 fn sqlite_dialect_is_self_consistent() {
-    let _g = mode_guard();
     for seed in 40..42 {
-        let db = corpus_db(seed);
+        let db = in_dialect(&corpus_db(seed), Dialect::Sqlite);
         let mut corpus = gen_corpus(&CorpusConfig { seed, queries: 120 });
         corpus.extend(gen_dialect_corpus(&CorpusConfig { seed, queries: 80 }));
-        set_dialect(Some(Dialect::Sqlite));
         let report = run_corpus(&db, &corpus);
-        set_dialect(None);
         assert!(
             report.is_clean(),
             "seed {seed}: {} divergence(s) under sqlite, first:\n{}",
@@ -375,7 +356,6 @@ fn sqlite_dialect_is_self_consistent() {
 /// configurations and the reference interpreter.
 #[test]
 fn postgres_dialect_is_self_consistent_on_stress_templates() {
-    let _g = mode_guard();
     for seed in 40..42 {
         let db = corpus_db(seed);
         let corpus = gen_dialect_corpus(&CorpusConfig { seed, queries: 100 });
@@ -395,7 +375,6 @@ fn postgres_dialect_is_self_consistent_on_stress_templates() {
 /// legitimate, classified differences.
 #[test]
 fn cross_dialect_sweep_classifies_every_divergence() {
-    let _g = mode_guard();
     for seed in 40..43 {
         let db = corpus_db(seed);
         let mut corpus = gen_corpus(&CorpusConfig { seed, queries: 150 });
@@ -428,9 +407,7 @@ fn cross_dialect_sweep_classifies_every_divergence() {
 /// truncates toward zero and division by zero is an evaluation error.
 #[test]
 fn postgres_integer_division_truncates_and_zero_errors() {
-    let _g = mode_guard();
-    let db = null_db();
-    set_dialect(Some(Dialect::Postgres));
+    let db = in_dialect(&null_db(), Dialect::Postgres);
     let rs = execute_sql(&db, "SELECT 7 / 2").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Int(3)]]);
     let rs = execute_sql(&db, "SELECT (0 - 7) / 2").unwrap();
@@ -439,12 +416,11 @@ fn postgres_integer_division_truncates_and_zero_errors() {
     assert!(err.to_string().contains("division by zero"), "{err}");
     let err = execute_sql(&db, "SELECT 1.5 / 0").unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
-    set_dialect(Some(Dialect::Sqlite));
+    let db = in_dialect(&db, Dialect::Sqlite);
     let rs = execute_sql(&db, "SELECT 7 / 2").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Float(3.5)]]);
     let rs = execute_sql(&db, "SELECT 1 / 0").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Null]]);
-    set_dialect(None);
 }
 
 /// Regression (latent engine bug, found while building the dialect
@@ -454,7 +430,6 @@ fn postgres_integer_division_truncates_and_zero_errors() {
 /// integer comparison must hold on both scan paths, bit-identically.
 #[test]
 fn huge_integers_do_not_alias_on_either_scan_path() {
-    let _g = mode_guard();
     let mut db = Database::new(Catalog::new(vec![TableSchema::new("big")
         .column("id", DataType::Int)
         .column("v", DataType::Int)
@@ -465,12 +440,10 @@ fn huge_integers_do_not_alias_on_either_scan_path() {
             .unwrap();
     }
     let sql = "SELECT id FROM big WHERE v = 9007199254740993";
-    let mut outcomes = Vec::new();
-    for force in [false, true] {
-        set_force_seqscan(Some(force));
-        outcomes.push(execute_sql(&db, sql).unwrap());
-        set_force_seqscan(None);
-    }
+    let outcomes: Vec<_> = [Access::Indexed, Access::SeqScan]
+        .into_iter()
+        .map(|access| execute_sql(&with_access(&db, access), sql).unwrap())
+        .collect();
     // Only the 2^53 + 1 row matches, and indexed vs forced-seqscan are
     // bit-identical.
     assert_eq!(outcomes[0].rows, vec![vec![Value::Int(2)]]);
@@ -485,7 +458,6 @@ fn huge_integers_do_not_alias_on_either_scan_path() {
 /// and garbage errors; under SQLite the pair is simply unequal.
 #[test]
 fn bool_text_comparison_is_dialect_governed() {
-    let _g = mode_guard();
     let mut db = Database::new(Catalog::new(vec![TableSchema::new("f")
         .column("id", DataType::Int)
         .column("flag", DataType::Bool)
@@ -493,7 +465,7 @@ fn bool_text_comparison_is_dialect_governed() {
     for (id, b) in [(1, Value::Bool(true)), (2, Value::Bool(false))] {
         db.insert("f", vec![Value::Int(id), b]).unwrap();
     }
-    set_dialect(Some(Dialect::Postgres));
+    let db = in_dialect(&db, Dialect::Postgres);
     let rs = execute_sql(&db, "SELECT id FROM f WHERE flag = 'yes'").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
     let err = execute_sql(&db, "SELECT id FROM f WHERE flag = 'maybe'").unwrap_err();
@@ -502,31 +474,103 @@ fn bool_text_comparison_is_dialect_governed() {
             .contains("invalid input syntax for type boolean"),
         "{err}"
     );
-    set_dialect(Some(Dialect::Sqlite));
+    let db = in_dialect(&db, Dialect::Sqlite);
     let rs = execute_sql(&db, "SELECT id FROM f WHERE flag = 'true'").unwrap();
     assert!(rs.rows.is_empty(), "sqlite never equates bool and text");
-    set_dialect(None);
 }
 
-/// The planner-config fingerprint separates dialects, so the query
-/// cache can never serve one dialect's result to the other.
+/// The config fingerprint separates dialects, so one query cache shared
+/// by a PostgreSQL and a SQLite database never serves one dialect's
+/// result to the other.
 #[test]
 fn query_cache_does_not_serve_results_across_dialects() {
-    let _g = mode_guard();
-    let db = null_db();
+    let pg_db = in_dialect(&null_db(), Dialect::Postgres);
+    let lite_db = in_dialect(&null_db(), Dialect::Sqlite);
     let cache = QueryCache::new();
     let sql = "SELECT 7 / 2";
 
-    set_dialect(Some(Dialect::Postgres));
-    let fp_pg = planner_config_fingerprint();
-    let pg = cache.execute_cached(&db, sql).unwrap();
-    set_dialect(Some(Dialect::Sqlite));
-    let fp_lite = planner_config_fingerprint();
-    let lite = cache.execute_cached(&db, sql).unwrap();
-    set_dialect(None);
+    let pg = cache.execute_cached(&pg_db, sql).unwrap();
+    let lite = cache.execute_cached(&lite_db, sql).unwrap();
 
-    assert_ne!(fp_pg, fp_lite, "fingerprint must separate dialects");
+    assert_ne!(
+        pg_db.config().fingerprint(),
+        lite_db.config().fingerprint(),
+        "fingerprint must separate dialects"
+    );
     assert_eq!(cache.stats().hits, 0, "no cross-dialect cache hit");
     assert_eq!(pg.rows, vec![vec![Value::Int(3)]]);
     assert_eq!(lite.rows, vec![vec![Value::Float(3.5)]]);
+}
+
+/// Engine configs are values on the database, not process state: the six
+/// conformance configs under both dialects run on twelve threads at once
+/// over one seeded corpus, the cached ones through one shared cache. Each
+/// must reproduce its dialect's serial run bit for bit (Debug renders
+/// the exact value variants and float bits), so the six agree, and
+/// `run_corpus` per dialect, run concurrently too, must report what the
+/// serial run reported.
+#[test]
+fn engine_configs_and_dialects_run_concurrently() {
+    let db = corpus_db(40);
+    let mut corpus = gen_corpus(&CorpusConfig {
+        seed: 40,
+        queries: 120,
+    });
+    corpus.extend(gen_dialect_corpus(&CorpusConfig {
+        seed: 40,
+        queries: 60,
+    }));
+    let cache = QueryCache::new();
+    let run = |db: &Database, cached: bool| -> Vec<String> {
+        let exec = |sql: &String| match cached {
+            true => cache.execute_cached(db, sql).map(|rs| (*rs).clone()),
+            false => execute_sql(db, sql),
+        };
+        corpus
+            .iter()
+            .map(|sql| format!("{:?}", exec(sql)))
+            .collect()
+    };
+    let dialect_dbs = Dialect::ALL.map(|dialect| in_dialect(&db, dialect));
+    let serial = dialect_dbs
+        .each_ref()
+        .map(|db| (run(db, false), run_corpus(db, &corpus)));
+    assert_ne!(
+        serial[0].0, serial[1].0,
+        "the dialects must disagree somewhere"
+    );
+    // The six configs per dialect, dialect by dialect.
+    let configs: Vec<(Database, bool)> = Dialect::ALL
+        .into_iter()
+        .flat_map(|dialect| {
+            CONFIGS.map(|(_, config, cached)| {
+                (
+                    db.clone().with_config(EngineConfig { dialect, ..config }),
+                    cached,
+                )
+            })
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = configs
+            .iter()
+            .map(|(db, cached)| scope.spawn(|| run(db, *cached)))
+            .collect();
+        let reports = dialect_dbs
+            .each_ref()
+            .map(|db| scope.spawn(|| run_corpus(db, &corpus)));
+        for (i, h) in runs.into_iter().enumerate() {
+            let (db, cached) = &configs[i];
+            let diverged = h.join().unwrap() != serial[i / 6].0;
+            assert!(!diverged, "{:?} (cached: {cached}) diverged", db.config());
+        }
+        for (h, (_, want)) in reports.into_iter().zip(&serial) {
+            let got = h.join().unwrap();
+            assert!(got.is_clean() && want.is_clean());
+            assert_eq!(
+                (got.queries, got.executions, got.errored),
+                (want.queries, want.executions, want.errored)
+            );
+        }
+    });
 }

@@ -10,20 +10,8 @@
 //! planner behavior change and must be reviewed as one.
 
 use sqlengine::{
-    explain_sql, set_force_seqscan, set_vectorized, Catalog, DataType, Database, TableSchema, Value,
+    explain_sql, Access, Catalog, DataType, Database, EngineConfig, Executor, TableSchema, Value,
 };
-use std::sync::Mutex;
-
-/// Serializes tests in this binary: some toggle the process-global
-/// planner overrides.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn mode_guard() -> std::sync::MutexGuard<'static, ()> {
-    let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_force_seqscan(None);
-    set_vectorized(None);
-    guard
-}
 
 fn fixture() -> Database {
     let mut db = Database::new(Catalog::new(vec![
@@ -53,7 +41,6 @@ fn assert_plan(db: &Database, sql: &str, golden: &str) {
 
 #[test]
 fn golden_pushdown_and_index_nested_loop() {
-    let _g = mode_guard();
     let db = fixture();
     assert_plan(
         &db,
@@ -68,7 +55,6 @@ fn golden_pushdown_and_index_nested_loop() {
 
 #[test]
 fn golden_index_scan_access_path() {
-    let _g = mode_guard();
     let db = fixture();
     assert_plan(
         &db,
@@ -77,11 +63,13 @@ fn golden_index_scan_access_path() {
          \u{20} executor: vectorized (columnar batches)\n\
          \u{20} scan t [5 row(s)] filter: id = 3 via index lookup(t.id)\n",
     );
-    // The forced-seqscan override flows through the plan, and with it
-    // the rendered access path.
-    set_force_seqscan(Some(true));
-    let plan = explain_sql(&db, "SELECT x FROM t WHERE id = 3").unwrap();
-    set_force_seqscan(None);
+    // The seq-scan config flows through the plan, and with it the
+    // rendered access path.
+    let seq = db.with_config(EngineConfig {
+        access: Access::SeqScan,
+        ..EngineConfig::default()
+    });
+    let plan = explain_sql(&seq, "SELECT x FROM t WHERE id = 3").unwrap();
     assert_eq!(
         plan,
         "select (1 output column(s))\n\
@@ -92,7 +80,6 @@ fn golden_index_scan_access_path() {
 
 #[test]
 fn golden_left_join_residual() {
-    let _g = mode_guard();
     let db = fixture();
     assert_plan(
         &db,
@@ -108,7 +95,6 @@ fn golden_left_join_residual() {
 
 #[test]
 fn golden_cost_based_join_reorder() {
-    let _g = mode_guard();
     let mut db = Database::new(Catalog::new(vec![
         TableSchema::new("t")
             .column("id", DataType::Int)
@@ -145,7 +131,6 @@ fn golden_cost_based_join_reorder() {
 
 #[test]
 fn golden_derived_table_hash_join() {
-    let _g = mode_guard();
     let db = fixture();
     assert_plan(
         &db,
@@ -161,7 +146,6 @@ fn golden_derived_table_hash_join() {
 
 #[test]
 fn golden_aggregation_and_tail() {
-    let _g = mode_guard();
     let db = fixture();
     assert_plan(
         &db,
@@ -178,13 +162,13 @@ fn golden_aggregation_and_tail() {
 
 #[test]
 fn golden_row_executor_routing() {
-    let _g = mode_guard();
-    let db = fixture();
-    // Forcing the row engine removes only the routing line; every
+    let db = fixture().with_config(EngineConfig {
+        executor: Executor::Row,
+        ..EngineConfig::default()
+    });
+    // The row engine's config removes only the routing line; every
     // planner decision stays identical.
-    set_vectorized(Some(false));
     let plan = explain_sql(&db, "SELECT x FROM t WHERE id = 3").unwrap();
-    set_vectorized(None);
     assert_eq!(
         plan,
         "select (1 output column(s))\n\

@@ -9,15 +9,9 @@
 
 use footballdb::{generate, load, DataModel};
 use nlq::gold::build_raw_corpus;
-use sqlengine::{execute_sql, set_force_seqscan, Dialect, Value};
-use std::sync::{Mutex, OnceLock};
+use sqlengine::{execute_sql, Access, Dialect, EngineConfig, Executor, Value};
+use std::sync::OnceLock;
 use xrng::Rng;
-
-/// Serializes the tests that toggle the process-global forced-seqscan
-/// mode (the other tests in this binary only assert mode-independent
-/// facts). A poisoned lock is reusable; the guarded state is reset by
-/// each user.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Cases per property; in the same ballpark as proptest's default.
 const CASES: usize = 192;
@@ -385,13 +379,8 @@ fn union_cardinalities() {
 /// Differential access-path property: for every gold query (all three
 /// data models), indexed execution is bit-identical — columns, rows, and
 /// row order — to forced-sequential-scan execution.
-///
-/// Runs both modes inside one test because [`set_force_seqscan`] is
-/// process-wide, and takes [`MODE_LOCK`] to serialize with the
-/// conformance-corpus property below.
 #[test]
 fn indexed_execution_is_bit_identical_to_seqscan() {
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let f = fixture();
     let domain = generate(footballdb::DEFAULT_SEED);
     let mut rng = Rng::new(0x1D3);
@@ -406,9 +395,16 @@ fn indexed_execution_is_bit_identical_to_seqscan() {
         .map(|&m| (m, load(&domain, m)))
         .collect();
     type CaseResult = Result<(Vec<String>, Vec<Vec<Value>>), String>;
-    let run_all = |force: bool| -> Vec<CaseResult> {
-        set_force_seqscan(Some(force));
-        let out = cases
+    let run_all = |access: Access| -> Vec<CaseResult> {
+        let config = EngineConfig {
+            access,
+            ..EngineConfig::default()
+        };
+        let dbs: Vec<_> = dbs
+            .iter()
+            .map(|(m, db)| (*m, db.clone().with_config(config)))
+            .collect();
+        cases
             .iter()
             .map(|(model, sql)| {
                 let db = &dbs.iter().find(|(m, _)| m == model).unwrap().1;
@@ -416,12 +412,10 @@ fn indexed_execution_is_bit_identical_to_seqscan() {
                     .map(|rs| (rs.columns.clone(), rs.rows.clone()))
                     .map_err(|e| e.to_string())
             })
-            .collect();
-        set_force_seqscan(None);
-        out
+            .collect()
     };
-    let indexed = run_all(false);
-    let seqscan = run_all(true);
+    let indexed = run_all(Access::Indexed);
+    let seqscan = run_all(Access::SeqScan);
     for (i, (a, b)) in indexed.iter().zip(&seqscan).enumerate() {
         assert_eq!(a, b, "access path changed the result of {:?}", cases[i]);
     }
@@ -435,8 +429,6 @@ fn indexed_execution_is_bit_identical_to_seqscan() {
 #[test]
 fn conformance_corpus_has_no_divergences() {
     use sqlengine::conformance::{corpus_db, gen_corpus, run_corpus, CorpusConfig};
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_force_seqscan(None);
     for seed in [17, 29] {
         let db = corpus_db(seed);
         let corpus = gen_corpus(&CorpusConfig {
@@ -457,24 +449,28 @@ fn conformance_corpus_has_no_divergences() {
 /// executors (row-at-a-time and vectorized) under BOTH dialects.
 /// PostgreSQL: `/` on integers truncates and a zero divisor is an
 /// error (integer or float). SQLite: `/` on integers is real-valued
-/// and a zero divisor yields NULL. Takes [`MODE_LOCK`] because both
-/// the executor and dialect switches are process-global.
+/// and a zero divisor yields NULL.
 #[test]
 fn division_semantics_hold_in_both_dialects_and_executors() {
     use sqlengine::conformance::dialect_db;
-    use sqlengine::{set_dialect, set_vectorized};
-    let _g = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let db = dialect_db();
-    let run = |sql: &str| {
-        execute_sql(&db, sql)
-            .map(|rs| rs.rows)
-            .map_err(|e| e.to_string())
-    };
+    let fixture = dialect_db();
     // nums(n) holds 1, 2, 10.
-    for vectorized in [false, true] {
-        set_vectorized(Some(vectorized));
+    for executor in [Executor::Row, Executor::Vectorized] {
+        let vectorized = executor == Executor::Vectorized;
+        let run_in = |dialect: Dialect| {
+            let db = fixture.clone().with_config(EngineConfig {
+                dialect,
+                executor,
+                ..EngineConfig::default()
+            });
+            move |sql: &str| {
+                execute_sql(&db, sql)
+                    .map(|rs| rs.rows)
+                    .map_err(|e| e.to_string())
+            }
+        };
 
-        set_dialect(Some(Dialect::Postgres));
+        let run = run_in(Dialect::Postgres);
         assert_eq!(
             run("SELECT n / 4 FROM nums ORDER BY n"),
             Ok(vec![
@@ -492,7 +488,7 @@ fn division_semantics_hold_in_both_dialects_and_executors() {
             );
         }
 
-        set_dialect(Some(Dialect::Sqlite));
+        let run = run_in(Dialect::Sqlite);
         assert_eq!(
             run("SELECT n / 4 FROM nums ORDER BY n"),
             Ok(vec![
@@ -509,9 +505,7 @@ fn division_semantics_hold_in_both_dialects_and_executors() {
                 "sqlite zero divisor yields NULL (vectorized: {vectorized})"
             );
         }
-        set_dialect(None);
     }
-    set_vectorized(None);
 }
 
 /// The canonical float key: `-0.0` collapses onto `0.0`, non-finite

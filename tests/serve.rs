@@ -14,9 +14,14 @@
 //! 3. **Watermark reporting** — the serve worker pool must raise the
 //!    shared `observed_threads()` watermark the benchmark records,
 //!    exactly like the `par_map` pools do.
+//! 4. **Per-state dialect** — states built for different dialects serve
+//!    side by side in one process, each with its own semantics.
 
-use serve::{AdmissionPolicy, BurstSpec, ServeConfig};
-use sqlengine::{Catalog, DataType, Database, QueryCache, TableSchema, Value};
+use footballdb::DataModel;
+use serve::{AdmissionPolicy, BurstSpec, ServeConfig, ServeState};
+use sqlengine::{
+    Catalog, DataType, Database, Dialect, EngineConfig, QueryCache, TableSchema, Value,
+};
 use std::sync::{Barrier, Mutex, OnceLock};
 
 /// The watermark and thread-override are process-global; tests that
@@ -93,6 +98,7 @@ fn small_serve_config() -> (ServeConfig, nlq::gold::PipelineConfig) {
         hazard_fraction: 0.05,
         burst: BurstSpec::default(),
         policy: AdmissionPolicy::default(),
+        engine: EngineConfig::default(),
     };
     let pipeline = nlq::gold::PipelineConfig {
         raw_questions: 700,
@@ -154,5 +160,53 @@ fn serve_pool_reports_into_observed_threads_watermark() {
         evalkit::observed_threads() >= width,
         "serve pools must raise the same observed-threads watermark \
          the benchmark harness records for par_map pools"
+    );
+}
+
+/// Regression: a SQLite state used to answer `SELECT 7 / 2` with
+/// PostgreSQL's `3`, because execution read a process-wide dialect.
+/// Queried from two threads at once, a SQLite and a PostgreSQL state
+/// each answer in their own dialect, and a serve run under each reports
+/// the dialect it served.
+#[test]
+fn sqlite_and_postgres_states_serve_side_by_side() {
+    let (base, pipeline) = small_serve_config();
+    let barrier = Barrier::new(Dialect::ALL.len());
+    let run = |dialect| {
+        let engine = EngineConfig {
+            dialect,
+            ..EngineConfig::default()
+        };
+        let state = ServeState::build_with_config(engine);
+        barrier.wait();
+        let db = state.db(DataModel::V1);
+        let rs = state
+            .cache(DataModel::V1)
+            .execute_cached(db, "SELECT 7 / 2");
+        let cfg = ServeConfig {
+            rates_qps: vec![40.0],
+            duration_s: 0.5,
+            engine,
+            ..base.clone()
+        };
+        (
+            state.dialect(),
+            rs.unwrap().rows[0][0].clone(),
+            serve::run(&cfg, &pipeline).dialect,
+        )
+    };
+    let answers = std::thread::scope(|scope| {
+        let run = &run;
+        Dialect::ALL
+            .map(|dialect| scope.spawn(move || run(dialect)))
+            .map(|h| h.join().unwrap())
+    });
+    use Dialect::{Postgres, Sqlite};
+    assert_eq!(
+        answers,
+        [
+            (Postgres, Value::Int(3), Postgres),
+            (Sqlite, Value::Float(3.5), Sqlite)
+        ]
     );
 }

@@ -2,7 +2,7 @@
 //!
 //! A trace's deterministic counters (span structure, rows out, fuel
 //! charged) are required to be a pure function of (database, query,
-//! planner configuration): byte-identical across thread counts, cold
+//! engine configuration): byte-identical across thread counts, cold
 //! versus memoized execution, and — via the logical digest, which
 //! abstracts scan placement — across indexed and forced-seqscan access
 //! paths. Wall-clock, index-probe, and cache hit/miss fields carry no
@@ -15,22 +15,9 @@ use evalkit::{
     run_config, set_thread_override, EvalSetup, ItemTrace, MetricsRegistry, RunResult, STAGES,
 };
 use footballdb::DataModel;
-use sqlengine::{set_force_seqscan, set_vectorized, trace_execute_sql};
-use std::sync::{Barrier, Mutex};
+use sqlengine::{trace_execute_sql, Access, EngineConfig, Executor};
+use std::sync::Barrier;
 use textosql::{Budget, SystemKind};
-
-/// Serializes every test in this binary: they toggle (or depend on) the
-/// process-global thread override and forced-seqscan mode. A poisoned
-/// lock is fine to reuse — each test resets the state it needs.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn mode_guard() -> std::sync::MutexGuard<'static, ()> {
-    let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_force_seqscan(None);
-    set_vectorized(None);
-    set_thread_override(None);
-    guard
-}
 
 /// The deterministic projection of an [`ItemTrace`]: per-stage span
 /// counts, rows, and fuel. Wall-clock and the access-path counters
@@ -60,7 +47,6 @@ fn assert_det_traces_identical(a: &RunResult, b: &RunResult, what: &str) {
 
 #[test]
 fn per_item_counters_are_identical_across_thread_counts() {
-    let _guard = mode_guard();
     let setup = EvalSetup::small(31);
     let pool = &setup.benchmark.train[..20.min(setup.benchmark.train.len())];
     let run = |label: &str| {
@@ -94,7 +80,6 @@ fn per_item_counters_are_identical_across_thread_counts() {
 
 #[test]
 fn per_item_counters_are_identical_cold_and_cached() {
-    let _guard = mode_guard();
     let setup = EvalSetup::small(37);
     let pool = &setup.benchmark.train[..20.min(setup.benchmark.train.len())];
     let run = |label: &str| {
@@ -122,20 +107,19 @@ fn per_item_counters_are_identical_cold_and_cached() {
 
 #[test]
 fn logical_digest_is_identical_for_indexed_and_seqscan_paths() {
-    let _guard = mode_guard();
     let setup = EvalSetup::small(41);
     let mut indexed_probes = 0u64;
     let mut compared = 0usize;
     for model in DataModel::ALL {
         let db = setup.db(model);
+        let seq_db = db.clone().with_config(EngineConfig {
+            access: Access::SeqScan,
+            ..db.config()
+        });
         for item in &setup.benchmark.test {
             let sql = item.sql(model);
-
-            set_force_seqscan(Some(false));
             let (indexed_res, indexed) = trace_execute_sql(db, sql);
-
-            set_force_seqscan(Some(true));
-            let (seq_res, seq) = trace_execute_sql(db, sql);
+            let (seq_res, seq) = trace_execute_sql(&seq_db, sql);
 
             assert_eq!(indexed_res.is_ok(), seq_res.is_ok(), "{model} {sql}");
             assert_eq!(
@@ -147,7 +131,6 @@ fn logical_digest_is_identical_for_indexed_and_seqscan_paths() {
             compared += 1;
         }
     }
-    set_force_seqscan(None);
     assert!(compared > 0);
     // The comparison is only meaningful if the indexed pass actually
     // took index access paths somewhere.
@@ -156,20 +139,19 @@ fn logical_digest_is_identical_for_indexed_and_seqscan_paths() {
 
 #[test]
 fn counter_tree_is_identical_for_vectorized_and_row_executors() {
-    let _guard = mode_guard();
     let setup = EvalSetup::small(47);
     let mut compared = 0usize;
     let mut vectorized_batches = 0u64;
     for model in DataModel::ALL {
         let db = setup.db(model);
+        let row_db = db.clone().with_config(EngineConfig {
+            executor: Executor::Row,
+            ..db.config()
+        });
         for item in &setup.benchmark.test {
             let sql = item.sql(model);
-
-            set_vectorized(Some(true));
             let (vec_res, vec_span) = trace_execute_sql(db, sql);
-
-            set_vectorized(Some(false));
-            let (row_res, row_span) = trace_execute_sql(db, sql);
+            let (row_res, row_span) = trace_execute_sql(&row_db, sql);
 
             assert_eq!(vec_res.is_ok(), row_res.is_ok(), "{model} {sql}");
             if let (Ok(a), Ok(b)) = (&vec_res, &row_res) {
@@ -192,7 +174,6 @@ fn counter_tree_is_identical_for_vectorized_and_row_executors() {
             compared += 1;
         }
     }
-    set_vectorized(None);
     assert!(compared > 0);
     // The comparison is only meaningful if the vectorized executor
     // actually ran somewhere (batches_out is its signature).
@@ -204,7 +185,6 @@ fn counter_tree_is_identical_for_vectorized_and_row_executors() {
 
 #[test]
 fn concurrent_queries_do_not_cross_contaminate_traces() {
-    let _guard = mode_guard();
     let setup = EvalSetup::small(43);
     let db = setup.db(DataModel::V1);
     // Deliberately heterogeneous load: heavy joins next to point
